@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
+from .errors import CertificateError
 from .model import FiniteModel, Partition, RationalFunction, SubmodelRef, support_union
 from .reports import (
     VERDICT_FAIL,
@@ -50,7 +51,9 @@ def is_complete(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
 
     Pass means: every block-constant function with zero expectation under
     all submodel members vanishes on the support union.  On fail the
-    witness is such a function that is not almost surely zero.
+    witness is such a function that is not almost surely zero; it is
+    re-checked exactly (M v = 0, v != 0) before it is returned, and a
+    vector failing that raises ``CertificateError`` instead.
     """
     sub.validate(m)
     su = support_union(m, sub)
@@ -63,8 +66,12 @@ def is_complete(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
     notes = (f"support blocks: {len(live)}", f"rank: {rank}")
     if rank == len(live):
         return CheckReport("complete", VERDICT_PASS, None, notes)
-    kernel = linalg.kernel_basis(rows, len(live))
-    witness = _lift_block_vector(c, live, kernel[0])
+    vec = linalg.first_kernel_vector(rows, len(live))
+    if vec is None or len(vec) != len(live) or not any(vec) or any(
+        sum(a * v for a, v in zip(row, vec) if v) for row in rows
+    ):
+        raise CertificateError("incompleteness witness failed its exact re-check (M v = 0, v != 0)")
+    witness = _lift_block_vector(c, live, vec)
     return CheckReport("complete", VERDICT_FAIL, {"function": witness}, notes)
 
 
@@ -135,9 +142,7 @@ def minimal_sufficient_partition(m: FiniteModel, sub: SubmodelRef) -> Partition:
         else:
             labels.append(len(reps))
             reps.append((x, vec))
-    from .model import partition_from_statistic
-
-    return partition_from_statistic(labels)
+    return Partition(tuple(labels))
 
 
 def is_minimal_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:

@@ -415,9 +415,12 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_search(args) -> int:
     cfg = search_mod.GenConfig(seed=args.seed)
-    found = search_mod.hunt(
-        args.template, args.drop, args.budget, cfg, max_found=args.max_found
-    )
+    try:
+        found = search_mod.hunt(
+            args.template, args.drop, args.budget, cfg, max_found=args.max_found
+        )
+    except ValueError as e:
+        raise InputError(str(e)) from None
     payload = []
     for i, hit in enumerate(found):
         item = {
@@ -455,22 +458,24 @@ def _cmd_search(args) -> int:
 def _cmd_construct(args) -> int:
     doc = _load(args.model)
     m = doc.model
-    if args.kind == "product":
-        if not args.model2:
-            raise InputError("product requires --model2")
-        out_model = product_model(m, _load(args.model2).model)
-        payload = model_to_dict(out_model)
-    elif args.kind == "power":
-        payload = model_to_dict(power_model(m, args.n))
-    elif args.kind == "weight":
-        if not args.function:
-            raise InputError("weight requires --function")
-        payload = model_to_dict(weighted_model(m, doc.function(args.function)))
-    else:
-        if not args.events:
-            raise InputError("truncate requires --events")
-        model, sig = truncated_family(m, _event_list(doc, args.events), args.n)
-        payload = model_to_dict(model, partitions={"sigmaEvents": sig})
+    try:
+        if args.kind == "product":
+            if not args.model2:
+                raise InputError("product requires --model2")
+            payload = model_to_dict(product_model(m, _load(args.model2).model))
+        elif args.kind == "power":
+            payload = model_to_dict(power_model(m, args.n))
+        elif args.kind == "weight":
+            if not args.function:
+                raise InputError("weight requires --function")
+            payload = model_to_dict(weighted_model(m, doc.function(args.function)))
+        else:
+            if not args.events:
+                raise InputError("truncate requires --events")
+            model, sig = truncated_family(m, _event_list(doc, args.events), args.n)
+            payload = model_to_dict(model, partitions={"sigmaEvents": sig})
+    except ValueError as e:  # --n < 1, or a negative weight
+        raise InputError(str(e)) from None
     save_model_file(args.out, payload)
     print(f"wrote {args.out}")
     return EXIT_OK

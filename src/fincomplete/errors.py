@@ -39,3 +39,7 @@ class NotSufficientError(EngineError):
 
 class GenerationError(EngineError):
     """The random-instance generator exhausted its retry budget."""
+
+
+class CertificateError(EngineError):
+    """A computed certificate failed its exact re-check (an engine defect)."""

@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals.
 
-All decision procedures in this package reduce to rank and kernel
-computations on small matrices of ``fractions.Fraction`` entries.  Rank is
-decided by Bareiss fraction-free elimination on integer-cleared rows (the
-only arithmetic performed is integer multiplication and exact integer
-division), kernels and linear solves use Gauss-Jordan elimination over
-``Fraction``, which is likewise exact.  The two routes agree on rank by
-construction; the redundancy is deliberate, rank verdicts never depend on
-the code path that also produces witnesses.
+Rank, kernels, solutions and row-space bases all come from one
+fraction-free routine, ``_eliminate``: each row is scaled to integers and
+reduced by Bareiss elimination (Bareiss 1968), whose only arithmetic is
+integer multiplication and exact integer division.  Rank needs forward
+elimination alone.  The reduced form also clears the rows above each
+pivot, which leaves every pivot equal to one common integer ``d``; an
+output vector is then read off the integer rows with one division (by
+``d``, or by the gcd when normalizing).  Pivoting is deterministic and the
+reduced form, kernel basis and solution are unique, so results are
+byte-stable.
 """
 
 from __future__ import annotations
@@ -21,59 +23,66 @@ Vector = tuple[Fraction, ...]
 def clear_denominators(row) -> list[int]:
     """Scale a rational row to integers (does not change rank or kernel)."""
     mult = lcm(*(f.denominator for f in row)) if row else 1
-    return [int(f * mult) for f in row]
+    return [f.numerator * (mult // f.denominator) for f in row]
 
 
-def fraction_free_rank(rows) -> int:
-    """Rank via Bareiss elimination; all intermediate values are integers."""
+def _eliminate(rows, reduce: bool = False) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free echelon form of ``rows`` as (integer rows, pivot
+    columns, last pivot).
+
+    Forward elimination only touches rows below a pivot and columns right
+    of it.  With ``reduce`` the rows above are cleared too, every pivot
+    ends equal to the returned ``d``, and the rows over ``d`` are the
+    reduced row echelon form.  Each division is exact.
+    """
     m = [clear_denominators(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    rank = 0
+    pivots: list[int] = []
     prev = 1
     for c in range(nc):
-        if rank == nr:
-            break
-        piv = next((i for i in range(rank, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(rank + 1, nr):
-            for j in range(c + 1, nc):
-                m[i][j] = (m[i][j] * m[rank][c] - m[i][c] * m[rank][j]) // prev
-            m[i][c] = 0
-        prev = m[rank][c]
-        rank += 1
-    return rank
-
-
-def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with the pivot columns, exact over Fraction.
-
-    Pivoting is deterministic: the first row with a nonzero entry in the
-    current column is used, so identical inputs give identical output.
-    """
-    m = [[Fraction(x) for x in r] for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
+        r = len(pivots)
         if r == nr:
             break
         piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, nr):
+            row = m[i]
+            f = row[c]
+            for j in range(c + 1, nc):
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[c] = 0
+        if reduce:
+            for i in range(r):
+                row = m[i]
+                f = row[c]
+                m[i] = [(a * p - f * b) // prev for a, b in zip(row, top)]
+        prev = p
         pivots.append(c)
-        r += 1
-    return m, pivots
+    return m, pivots, prev
+
+
+def fraction_free_rank(rows) -> int:
+    """Rank via Bareiss elimination; all intermediate values are integers."""
+    return len(_eliminate(rows)[1])
+
+
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form with the pivot columns, exact over Fraction."""
+    m, pivots, d = _eliminate(rows, reduce=True)
+    return [[Fraction(x, d) for x in row] for row in m], pivots
+
+
+def _primitive(ints) -> Vector:
+    """Coprime integers with the last nonzero entry positive (zero stays zero)."""
+    g = gcd(*ints) or 1
+    if next((v for v in reversed(ints) if v != 0), 0) < 0:
+        g = -g
+    return tuple(Fraction(v // g) for v in ints)
 
 
 def normalize_vector(vec) -> Vector:
@@ -83,17 +92,16 @@ def normalize_vector(vec) -> Vector:
     positive; the zero vector is returned unchanged.  Used so kernel bases
     and reported witnesses are byte-stable.
     """
-    vec = tuple(Fraction(x) for x in vec)
-    if all(x == 0 for x in vec):
-        return vec
-    mult = lcm(*(x.denominator for x in vec))
-    ints = [int(x * mult) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    last_nonzero = next(v for v in reversed(ints) if v != 0)
-    sign = 1 if last_nonzero > 0 else -1
-    return tuple(Fraction(sign * v, g) for v in ints)
+    return _primitive(clear_denominators([Fraction(x) for x in vec]))
+
+
+def _kernel_vector(m, pivots, d, fc: int, width: int) -> Vector:
+    """The normalized kernel vector of a reduced form for free column fc."""
+    v = [0] * width
+    v[fc] = d
+    for r, pc in enumerate(pivots):
+        v[pc] = -m[r][fc]
+    return _primitive(v)
 
 
 def kernel_basis(rows, width: int) -> list[Vector]:
@@ -102,23 +110,19 @@ def kernel_basis(rows, width: int) -> list[Vector]:
     ``width`` is the number of columns, needed when ``rows`` is empty.
     Vectors are ordered by ascending free column, giving a canonical basis.
     """
-    if not rows:
-        ident = []
-        for j in range(width):
-            v = [Fraction(0)] * width
-            v[j] = Fraction(1)
-            ident.append(tuple(v))
-        return ident
-    m, pivots = rref(rows)
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * width
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(normalize_vector(v))
-    return basis
+    m, pivots, d = _eliminate(rows, reduce=True)
+    free = sorted(set(range(width)) - set(pivots))
+    return [_kernel_vector(m, pivots, d, fc, width) for fc in free]
+
+
+def first_kernel_vector(rows, width: int) -> Vector | None:
+    """``kernel_basis(rows, width)[0]``, or None for a trivial kernel.  Only
+    the first ``len(rows) + 1`` columns are reduced: every column left of
+    the first free column is a pivot column."""
+    prefix = min(width, len(rows) + 1)
+    m, pivots, d = _eliminate([r[:prefix] for r in rows], reduce=True)
+    fc = next((i for i, pc in enumerate(pivots) if pc != i), len(pivots))
+    return None if fc == prefix else _kernel_vector(m, pivots, d, fc, width)
 
 
 def solve(rows, rhs) -> Vector | None:
@@ -129,19 +133,16 @@ def solve(rows, rhs) -> Vector | None:
     if not rows:
         return None
     width = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
+    m, pivots, d = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)], reduce=True)
     if width in pivots:
         return None
     x = [Fraction(0)] * width
     for r, pc in enumerate(pivots):
-        x[pc] = m[r][width]
+        x[pc] = Fraction(m[r][width], d)
     return tuple(x)
 
 
 def row_space_basis(rows) -> list[Vector]:
     """Nonzero rows of the reduced echelon form (a canonical span basis)."""
-    if not rows:
-        return []
-    m, pivots = rref(rows)
-    return [tuple(m[i]) for i in range(len(pivots))]
+    m, pivots, d = _eliminate(rows, reduce=True)
+    return [tuple(Fraction(x, d) for x in m[i]) for i in range(len(pivots))]

@@ -174,10 +174,12 @@ def parse_submodel(m: FiniteModel, selector: str) -> SubmodelRef:
             idx = tuple(int(t) for t in sel[len("params=") :].split(","))
         except ValueError:
             raise InputError(f"bad parameter index list in selector {selector!r}") from None
-        ref = SubmodelRef(idx)
-        if idx and (min(idx) < 0 or max(idx) >= m.num_params):
+        if min(idx) < 0 or max(idx) >= m.num_params:
             raise InputError(f"parameter index out of range in selector {selector!r}")
-        return ref
+        try:
+            return SubmodelRef(idx)
+        except ValueError as e:
+            raise InputError(f"{e} in selector {selector!r}") from None
     match = _SECTION_RE.match(sel)
     if match:
         coord = int(match.group(1)) - 1
@@ -190,8 +192,9 @@ def parse_submodel(m: FiniteModel, selector: str) -> SubmodelRef:
     raise InputError(f"cannot parse submodel selector {selector!r}")
 
 
-def _canonical_block_ids(ids: Sequence[int]) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
+def _canonical_block_ids(ids: Sequence) -> tuple[int, ...]:
+    """First-appearance ranks of any hashable labels."""
+    seen: dict = {}
     out = []
     for b in ids:
         if b not in seen:
@@ -267,13 +270,7 @@ class Partition:
 def partition_from_statistic(labels: Sequence) -> Partition:
     """The sigma-algebra generated by a statistic: points share a block
     exactly when their statistic values are equal."""
-    seen: dict = {}
-    ids = []
-    for lab in labels:
-        if lab not in seen:
-            seen[lab] = len(seen)
-        ids.append(seen[lab])
-    return Partition(tuple(ids))
+    return Partition(tuple(labels))
 
 
 def join(p: Partition, q: Partition) -> Partition:

@@ -118,12 +118,7 @@ def _orthogonality_rows(m: FiniteModel, sub: SubmodelRef) -> list[tuple[int, ...
     for h in basis:
         for i in sub.param_indices:
             raw.append(tuple(v * p for v, p in zip(h.values, m.prob[i])))
-    reduced = linalg.row_space_basis(raw)
-    out = []
-    for row in reduced:
-        ints = linalg.clear_denominators(list(row))
-        out.append(tuple(ints))
-    return out
+    return [tuple(linalg.clear_denominators(row)) for row in linalg.row_space_basis(raw)]
 
 
 def optimal_sigma_algebra(
@@ -177,18 +172,7 @@ def optimal_sigma_algebra(
     num_atoms = len({a for a in atom})
     if len(members) != 1 << num_atoms:
         raise RuntimeError("orthogonal family is not a sigma-algebra; this is a bug")
-    return Partition(tuple_rank(atom))
-
-
-def tuple_rank(values) -> tuple[int, ...]:
-    """First-appearance ranks of a sequence (block ids from atom masks)."""
-    seen: dict = {}
-    out = []
-    for v in values:
-        if v not in seen:
-            seen[v] = len(seen)
-        out.append(seen[v])
-    return tuple(out)
+    return Partition(tuple(atom))
 
 
 def is_optimal_unbiased(

@@ -36,6 +36,8 @@ def parse_rational(s: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise InputError(f"zero denominator: {s!r}") from None
+    except ValueError as e:  # the interpreter's integer-string digit limit
+        raise InputError(f"rational string too long: {e}") from None
 
 
 def rational_str(f: Fraction) -> str:

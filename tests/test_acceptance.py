@@ -4,6 +4,7 @@ tolerance and prints one pass/fail line.
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -33,8 +34,10 @@ from fincomplete import (
     verify_joint_completeness,
     verify_truncation_family,
 )
+from fincomplete import linalg
+from fincomplete.cli import run
 from fincomplete.reports import STATUS_VERIFIED
-from fincomplete.serialization import theorem_report_to_dict
+from fincomplete.serialization import load_model_file, theorem_report_to_dict
 from fincomplete.verify import Exhaustion
 
 from conftest import oracle_is_complete, uniform_chain, valid_incompleteness_witness
@@ -382,3 +385,36 @@ def test_criterion_9_determinism():
     ok &= outs[0] == outs[1] == outs[2]
     elapsed = time.monotonic() - start
     _report("9 determinism", ok, elapsed, 60.0)
+
+
+# SHA-256 of _determinism_digest() and of the `--json check --partition
+# discrete --property complete` stdout for the 6th power of ce55.model, as
+# produced by the Fraction Gauss-Jordan route before the fraction-free core
+# replaced it.  Both must stay byte-identical.
+GOLDEN_DETERMINISM_SHA256 = "8fc2396f787090f8468b180e169f5adfcda153f173936a32981939675c7e7e54"
+GOLDEN_CE55_POW6_COMPLETE_SHA256 = "2679831f0e00d2094c01a1ed4a61fbfcbfd2b47b1cbf9093cefb5d7734c57bbe"
+
+
+def test_discrete_completeness_witness_needs_no_kernel_basis(capsys, tmp_path, monkeypatch):
+    digest = hashlib.sha256(_determinism_digest().encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_DETERMINISM_SHA256
+
+    def no_basis(rows, width):
+        raise AssertionError("the completeness witness must not build a kernel basis")
+
+    monkeypatch.setattr(linalg, "kernel_basis", no_basis)
+    base = os.path.join(REGISTRY, "ce55.model")
+    m = fc.power_model(load_model_file(base).model, 6)
+    assert m.num_points == 729
+    sub = SubmodelRef.full(m)
+    rep = is_complete(Partition.discrete(m.num_points), m, sub)
+    assert rep.failed
+    assert valid_incompleteness_witness(rep.witness["function"], m, sub)
+
+    out_path = str(tmp_path / "ce55_pow6.model")
+    assert run(["construct", "power", "--model", base, "--n", "6", "--out", out_path]) == 0
+    capsys.readouterr()
+    argv = ["--json", "check", "--model", out_path, "--partition", "discrete", "--property", "complete"]
+    assert run(argv) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_CE55_POW6_COMPLETE_SHA256

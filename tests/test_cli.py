@@ -1,11 +1,19 @@
 import json
 import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
 
 import fincomplete as fc
+from fincomplete import linalg
 from fincomplete.cli import run
+from fincomplete.errors import CertificateError
 from fincomplete.serialization import dumps, load_model_file, model_to_dict, save_model_file
 
 REGISTRY = os.path.join(os.path.dirname(__file__), "..", "registry")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def reg(name: str) -> str:
@@ -16,6 +24,19 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def invoke_process(*argv):
+    """Run the CLI in a fresh interpreter, where an uncaught exception
+    would surface as a traceback on stderr."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fincomplete.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestExitCodes:
@@ -80,6 +101,68 @@ class TestExitCodes:
             capsys, "check", "--model", reg("ce55.model"), "--partition", "C1", "--property", "nope"
         )
         assert code == 3
+
+    def test_duplicate_submodel_indices_is_three(self):
+        code, _, err = invoke_process(
+            "check", "--model", reg("ce55.model"), "--partition", "C1",
+            "--property", "complete", "--sub", "params=0,0",
+        )
+        assert code == 3
+        assert "Traceback" not in err and "error:" in err
+
+    def test_power_of_zero_is_three(self, tmp_path):
+        code, _, err = invoke_process(
+            "construct", "power", "--model", reg("ce55.model"), "--n", "0",
+            "--out", str(tmp_path / "p.model"),
+        )
+        assert code == 3
+        assert "Traceback" not in err and "error:" in err
+        assert not (tmp_path / "p.model").exists()
+
+    def test_unknown_search_drop_is_three(self):
+        code, _, err = invoke_process(
+            "search", "--template", "two_block_grid", "--drop", "bogus", "--budget", "1", "--seed", "1"
+        )
+        assert code == 3
+        assert "Traceback" not in err and "error:" in err
+
+    def test_rational_over_int_digit_limit_is_three(self, tmp_path):
+        with open(reg("ce55.model"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["prob"][0][0] = "1/" + "3" * 4400
+        path = tmp_path / "huge.model"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = invoke_process("validate", "--model", str(path))
+        assert code == 3
+        assert "Traceback" not in err and "error:" in err
+
+
+def _corruptions(vec):
+    """Ways a kernel routine could go wrong: a perturbed entry, the zero
+    vector, no vector, and a vector of the wrong length."""
+    bumped = (vec[0] + 1,) + vec[1:]
+    return [bumped, tuple(Fraction(0) for _ in vec), None, vec[:-1]]
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_corrupted_witness_is_never_a_fail_verdict(capsys, tmp_path, monkeypatch, which):
+    out_path = str(tmp_path / "sq.model")
+    assert invoke(capsys, "construct", "power", "--model", reg("ce55.model"), "--n", "2", "--out", out_path)[0] == 0
+    argv = ("--json", "check", "--model", out_path, "--partition", "discrete", "--property", "complete")
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 1 and json.loads(out)["verdict"] == "fail"
+
+    genuine = linalg.first_kernel_vector
+    monkeypatch.setattr(
+        linalg, "first_kernel_vector", lambda rows, width: _corruptions(genuine(rows, width))[which]
+    )
+    doc = load_model_file(out_path)
+    with pytest.raises(CertificateError):
+        fc.is_complete(fc.Partition.discrete(doc.model.num_points), doc.model, fc.SubmodelRef.full(doc.model))
+    code, out, err = invoke(capsys, *argv)
+    assert code not in (0, 1)
+    assert out == ""
+    assert "Traceback" not in err and "re-check" in err
 
 
 class TestCommands:
