@@ -17,7 +17,6 @@ from .checks import (
 )
 from .errors import (
     EngineError,
-    EnumerationGuardError,
     ExhaustionError,
     GenerationError,
     GridError,

@@ -355,55 +355,58 @@ def _cmd_verify(args) -> int:
     doc = _load(args.model)
     m = doc.model
     theorem = args.theorem
-    if theorem == "joint-completeness":
-        if len(args.partition) != len(args.exhaustion) or not args.partition:
-            raise InputError("pair each --partition with one --exhaustion")
-        family = [
-            (doc.partition(p), _named_exhaustion(doc, e))
-            for p, e in zip(args.partition, args.exhaustion)
-        ]
-        report = verify_joint_completeness(m, family)
-    elif theorem == "two-block-grid":
-        report = verify_two_block_grid(m, doc.partition(args.c1), doc.partition(args.c2))
-    elif theorem == "cks":
-        if not args.r_model:
-            raise InputError("cks requires --r-model")
-        rdoc = _load(args.r_model)
-        report = verify_cks(m, rdoc.model)
-    elif theorem == "cks-rewrite":
-        report = verify_cks_rewrite(m, doc.partition(args.c1), doc.partition(args.c2))
-    elif theorem == "hom-connected":
-        if len(args.partition) != len(args.exhaustion) or not args.partition:
-            raise InputError("pair each --partition with one --exhaustion")
-        family = [
-            (doc.partition(p), _named_exhaustion(doc, e))
-            for p, e in zip(args.partition, args.exhaustion)
-        ]
-        report = verify_homogeneous_connected(m, family, args.mode, weak=args.weak)
-    elif theorem == "truncation-family":
-        if not args.events:
-            raise InputError("truncation-family requires --events")
-        report = verify_truncation_family(m, _event_list(doc, args.events), args.n)
-    elif theorem == "unknown-truncation":
-        if not args.events or not args.partition:
-            raise InputError("unknown-truncation requires --events and one --partition")
-        powered = power_model(m, args.n)
-        pdoc_part = doc.partitions.get(args.partition[0])
-        if pdoc_part is None or pdoc_part.size != powered.num_points:
-            raise InputError(
-                "--partition must name a partition of the n-fold power space"
-            )
-        report = verify_unknown_truncation(m, pdoc_part, _event_list(doc, args.events), args.n)
-    elif theorem == "smith":
-        if args.mode not in ("a", "b"):
-            raise InputError("smith requires --mode a or b")
-        if not args.partition or not args.function:
-            raise InputError("smith requires one --partition and --function")
-        report = verify_smith(m, doc.partition(args.partition[0]), doc.function(args.function), args.mode)
-    else:
-        if not args.exhaustion or not args.function:
-            raise InputError("bondesson requires one --exhaustion and --function")
-        report = verify_bondesson(m, _named_exhaustion(doc, args.exhaustion[0]), doc.function(args.function))
+    try:
+        if theorem == "joint-completeness":
+            if len(args.partition) != len(args.exhaustion) or not args.partition:
+                raise InputError("pair each --partition with one --exhaustion")
+            family = [
+                (doc.partition(p), _named_exhaustion(doc, e))
+                for p, e in zip(args.partition, args.exhaustion)
+            ]
+            report = verify_joint_completeness(m, family)
+        elif theorem == "two-block-grid":
+            report = verify_two_block_grid(m, doc.partition(args.c1), doc.partition(args.c2))
+        elif theorem == "cks":
+            if not args.r_model:
+                raise InputError("cks requires --r-model")
+            rdoc = _load(args.r_model)
+            report = verify_cks(m, rdoc.model)
+        elif theorem == "cks-rewrite":
+            report = verify_cks_rewrite(m, doc.partition(args.c1), doc.partition(args.c2))
+        elif theorem == "hom-connected":
+            if len(args.partition) != len(args.exhaustion) or not args.partition:
+                raise InputError("pair each --partition with one --exhaustion")
+            family = [
+                (doc.partition(p), _named_exhaustion(doc, e))
+                for p, e in zip(args.partition, args.exhaustion)
+            ]
+            report = verify_homogeneous_connected(m, family, args.mode, weak=args.weak)
+        elif theorem == "truncation-family":
+            if not args.events:
+                raise InputError("truncation-family requires --events")
+            report = verify_truncation_family(m, _event_list(doc, args.events), args.n)
+        elif theorem == "unknown-truncation":
+            if not args.events or not args.partition:
+                raise InputError("unknown-truncation requires --events and one --partition")
+            powered = power_model(m, args.n)
+            pdoc_part = doc.partitions.get(args.partition[0])
+            if pdoc_part is None or pdoc_part.size != powered.num_points:
+                raise InputError(
+                    "--partition must name a partition of the n-fold power space"
+                )
+            report = verify_unknown_truncation(m, pdoc_part, _event_list(doc, args.events), args.n)
+        elif theorem == "smith":
+            if args.mode not in ("a", "b"):
+                raise InputError("smith requires --mode a or b")
+            if not args.partition or not args.function:
+                raise InputError("smith requires one --partition and --function")
+            report = verify_smith(m, doc.partition(args.partition[0]), doc.function(args.function), args.mode)
+        else:
+            if not args.exhaustion or not args.function:
+                raise InputError("bondesson requires one --exhaustion and --function")
+            report = verify_bondesson(m, _named_exhaustion(doc, args.exhaustion[0]), doc.function(args.function))
+    except ValueError as e:  # --n < 1, an unknown --mode or a misplaced --weak
+        raise InputError(str(e)) from None
     return _emit_theorem(report, m, args.json)
 
 

@@ -13,10 +13,6 @@ class SizeGuardError(EngineError):
     """A construction would exceed the configured point-count guard."""
 
 
-class EnumerationGuardError(EngineError):
-    """The optimal-partition enumeration guard was exceeded."""
-
-
 class StabilityError(EngineError):
     """An event list is not closed under pairwise intersection."""
 

@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals.
 
-Rank, kernels, solutions and row-space bases all come from one
+Rank, kernels, solutions and the reduced form all come from one
 fraction-free routine, ``_eliminate``: each row is scaled to integers and
 reduced by Bareiss elimination (Bareiss 1968), whose only arithmetic is
 integer multiplication and exact integer division.  Rank needs forward
@@ -141,8 +141,3 @@ def solve(rows, rhs) -> Vector | None:
         x[pc] = Fraction(m[r][width], d)
     return tuple(x)
 
-
-def row_space_basis(rows) -> list[Vector]:
-    """Nonzero rows of the reduced echelon form (a canonical span basis)."""
-    m, pivots, d = _eliminate(rows, reduce=True)
-    return [tuple(Fraction(x, d) for x in m[i]) for i in range(len(pivots))]

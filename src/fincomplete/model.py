@@ -280,14 +280,9 @@ def join(p: Partition, q: Partition) -> Partition:
     return partition_from_statistic(tuple(zip(p.block_id, q.block_id)))
 
 
-def meet(p: Partition, q: Partition) -> Partition:
-    """Lattice infimum: the finest common coarsening, i.e. the transitive
-    closure of the union of the two equivalence relations.  On a finite
-    space this is exactly the partition of the intersection
-    sigma-algebra."""
-    if p.size != q.size:
-        raise ValueError("partitions on different point sets")
-    n = p.size
+def component_roots(n: int, groups: Iterable[Sequence[int]]) -> list[int]:
+    """Union-find on the indices 0..n-1 that joins each group into one
+    class; each index's root is the least index of its class."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -296,19 +291,22 @@ def meet(p: Partition, q: Partition) -> Partition:
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    for group in groups:
+        for other in group[1:]:
+            ra, rb = find(group[0]), find(other)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(n)]
 
-    for part in (p, q):
-        first: dict[int, int] = {}
-        for x, b in enumerate(part.block_id):
-            if b in first:
-                union(first[b], x)
-            else:
-                first[b] = x
-    return Partition(tuple(find(x) for x in range(n)))
+
+def meet(p: Partition, q: Partition) -> Partition:
+    """Lattice infimum: the finest common coarsening, i.e. the transitive
+    closure of the union of the two equivalence relations.  On a finite
+    space this is exactly the partition of the intersection
+    sigma-algebra."""
+    if p.size != q.size:
+        raise ValueError("partitions on different point sets")
+    return Partition(tuple(component_roots(p.size, p.blocks() + q.blocks())))
 
 
 @dataclass(frozen=True)

@@ -1,29 +1,28 @@
 """Optimal unbiased estimation on finite models.
 
 The zero-unbiased space of a submodel is the kernel of its expectation
-matrix.  The optimal partition (the sigma-algebra of events A with
-P 1_A h = 0 for every zero-unbiased h and every submodel member) is
-computed by enumerating all subsets of the sample space and keeping those
-orthogonal to the span of the vectors (h(x) P(x))_x; its atoms give the
-partition.  Optimality of an estimator, defined as simultaneous minimal
-risk for every convex loss among unbiased estimators of the same estimand,
-is equivalent to measurability with respect to this partition, which is
-what the procedures here certify; quantification over losses is never
-attempted.
-
-The enumeration is guarded (default 16 points, overridable via the
-FINCOMPLETE_ENUM_GUARD environment variable or per call).
+matrix.  The optimal partition is the partition of the sigma-algebra of
+events A with P(1_A h) = 0 for every zero-unbiased h and every submodel
+member P, i.e. of the A whose indicator lies in the kernel of the rows
+W = (h(x) P(x))_x.  A function f is in that kernel exactly when f h is
+zero-unbiased for every zero-unbiased h, so the kernel contains the
+constants and is closed under pointwise product: it is exactly the
+functions constant on the atoms, and one kernel basis gives the atoms as
+the classes of points with equal coordinates, in polynomial time.
+Optimality of an estimator, defined as simultaneous minimal risk for every
+convex loss among unbiased estimators of the same estimand, is equivalent
+to measurability with respect to this partition, which is what the
+procedures here certify; quantification over losses is never attempted.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .checks import is_sufficient
-from .errors import EnumerationGuardError, ExhaustionError, NotSufficientError
+from .errors import CertificateError, ExhaustionError, NotSufficientError
 from .model import (
     FiniteModel,
     Partition,
@@ -34,20 +33,10 @@ from .model import (
 )
 from .reports import VERDICT_FAIL, VERDICT_PASS, CheckReport
 
-DEFAULT_ENUM_GUARD = 16
-ENUM_GUARD_ENV = "FINCOMPLETE_ENUM_GUARD"
-
 OPTIMALITY_NOTE = (
     "optimality (simultaneous minimal risk for every convex loss) is "
     "certified through measurability with respect to the optimal partition"
 )
-
-
-def resolve_enum_guard(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(ENUM_GUARD_ENV)
-    return int(env) if env else DEFAULT_ENUM_GUARD
 
 
 @dataclass(frozen=True)
@@ -110,77 +99,36 @@ def unbiased_class(m: FiniteModel, sub: SubmodelRef, estimand: Estimand) -> Unbi
     return UnbiasedClass(particular, tuple(zero_unbiased_basis(m, sub)))
 
 
-def _orthogonality_rows(m: FiniteModel, sub: SubmodelRef) -> list[tuple[int, ...]]:
-    """Integer basis of the span of (h(x) P(x))_x over zero-unbiased h and
-    submodel members P."""
-    basis = zero_unbiased_basis(m, sub)
-    raw = []
-    for h in basis:
-        for i in sub.param_indices:
-            raw.append(tuple(v * p for v, p in zip(h.values, m.prob[i])))
-    return [tuple(linalg.clear_denominators(row)) for row in linalg.row_space_basis(raw)]
-
-
-def optimal_sigma_algebra(
-    m: FiniteModel, sub: SubmodelRef, *, enum_guard: int | None = None
-) -> Partition:
+def optimal_sigma_algebra(m: FiniteModel, sub: SubmodelRef) -> Partition:
     """The partition of the optimal sigma-algebra of the submodel.
 
-    Subsets are enumerated in Gray-code order with running orthogonality
-    sums; the surviving family is checked to be exactly the unions of its
-    atoms (closure under complement and intersection) and to contain every
-    null set before the atoms are returned.
+    The atoms are the classes of points with equal coordinates across a
+    basis of the kernel of W, the rows (h(x) P(x))_x over zero-unbiased h
+    and submodel members P, each scaled to integers (which changes neither
+    the kernel nor which sums vanish).  Before they are returned, every
+    row of W is re-checked to sum to zero over every atom (each atom is in
+    the sigma-algebra) and the atom count to equal the kernel dimension
+    (no finer partition fits); a failure raises ``CertificateError``.
     """
-    sub.validate(m)
-    n = m.num_points
-    guard = resolve_enum_guard(enum_guard)
-    if n > guard:
-        raise EnumerationGuardError(
-            f"{n} points exceeds the enumeration guard of {guard}"
+    hs = [linalg.clear_denominators(h.values) for h in zero_unbiased_basis(m, sub)]
+    ps = [linalg.clear_denominators(m.prob[i]) for i in sub.param_indices]
+    rows = [tuple(a * b for a, b in zip(h, p)) for h in hs for p in ps]
+    basis = linalg.kernel_basis(rows, m.num_points)
+    part = Partition(tuple(zip(*basis)))
+    blocks = part.blocks()
+    if len(blocks) != len(basis) or any(sum(row[x] for x in b) for row in rows for b in blocks):
+        raise CertificateError(
+            "optimal partition failed its exact re-check (W 1_A = 0 per atom, atoms = dim ker W)"
         )
-    wrows = _orthogonality_rows(m, sub)
-    if not wrows:
-        return Partition.discrete(n)
-    d = len(wrows)
-    sums = [0] * d
-    members = [0]
-    mask = 0
-    for k in range(1, 1 << n):
-        bit = (k & -k).bit_length() - 1
-        mask ^= 1 << bit
-        if mask >> bit & 1:
-            for j in range(d):
-                sums[j] += wrows[j][bit]
-        else:
-            for j in range(d):
-                sums[j] -= wrows[j][bit]
-        if not any(sums):
-            members.append(mask)
-    full = (1 << n) - 1
-    atom = [full] * n
-    for a in members:
-        for x in range(n):
-            if a >> x & 1:
-                atom[x] &= a
-    # The survivor family must be exactly the unions of the atoms: each
-    # member a union of atoms, and their counts matching.  This certifies
-    # closure under complement and intersection.
-    for a in members:
-        for x in range(n):
-            if a >> x & 1 and atom[x] & ~a:
-                raise RuntimeError("orthogonal family is not closed; this is a bug")
-    num_atoms = len({a for a in atom})
-    if len(members) != 1 << num_atoms:
-        raise RuntimeError("orthogonal family is not a sigma-algebra; this is a bug")
-    return Partition(tuple(atom))
+    return part
 
 
 def is_optimal_unbiased(
-    g: RationalFunction, m: FiniteModel, sub: SubmodelRef, *, enum_guard: int | None = None
+    g: RationalFunction, m: FiniteModel, sub: SubmodelRef
 ) -> CheckReport:
     """Optimality of an estimator for its own expectation: constancy on
     every block of the optimal partition that meets the support union."""
-    part = optimal_sigma_algebra(m, sub, enum_guard=enum_guard)
+    part = optimal_sigma_algebra(m, sub)
     su = support_union(m, sub)
     for block in part.blocks():
         live = [x for x in block if x in su]
@@ -220,7 +168,7 @@ def covariance_criterion(
 
 
 def umvue(
-    m: FiniteModel, sub: SubmodelRef, estimand: Estimand, *, enum_guard: int | None = None
+    m: FiniteModel, sub: SubmodelRef, estimand: Estimand
 ) -> UmvueResult:
     """The optimal unbiased estimator of an estimand, when one exists.
 
@@ -229,7 +177,7 @@ def umvue(
     value 0.
     """
     sub.validate(m)
-    part = optimal_sigma_algebra(m, sub, enum_guard=enum_guard)
+    part = optimal_sigma_algebra(m, sub)
     su = support_union(m, sub)
     blocks = part.blocks()
     live = [b for b in range(len(blocks)) if any(x in su for x in blocks[b])]
@@ -256,12 +204,12 @@ def umvue(
 
 
 def exists_complete_sufficient(
-    m: FiniteModel, sub: SubmodelRef, *, enum_guard: int | None = None
+    m: FiniteModel, sub: SubmodelRef
 ) -> CheckReport:
     """Existence of a complete sufficient partition, decided outright:
     one exists exactly when the optimal partition is sufficient, and then
     the optimal partition is the canonical one (attached as witness)."""
-    part = optimal_sigma_algebra(m, sub, enum_guard=enum_guard)
+    part = optimal_sigma_algebra(m, sub)
     suff = is_sufficient(part, m, sub)
     if suff.passed:
         return CheckReport(
@@ -310,7 +258,7 @@ def rao_blackwell(
 
 
 def meet_of_optimal_sigmas(
-    m: FiniteModel, exhaustion, *, enum_guard: int | None = None
+    m: FiniteModel, exhaustion
 ) -> tuple[Partition, CheckReport]:
     """Meet of the submodel optimal partitions along an exhaustion, with a
     report that the meet is coarser than or equal to the full-model
@@ -323,10 +271,10 @@ def meet_of_optimal_sigmas(
         raise ExhaustionError("exhaustion does not cover the model")
     acc: Partition | None = None
     for _, piece in exhaustion.pieces:
-        part = optimal_sigma_algebra(m, piece, enum_guard=enum_guard)
+        part = optimal_sigma_algebra(m, piece)
         acc = part if acc is None else meet(acc, part)
     assert acc is not None
-    full_part = optimal_sigma_algebra(m, full_sub, enum_guard=enum_guard)
+    full_part = optimal_sigma_algebra(m, full_sub)
     su = support_union(m, full_sub)
     pts = sorted(su)
     for a in range(len(pts)):

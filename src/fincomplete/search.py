@@ -457,13 +457,10 @@ def _minimize_two_block(cand: _TwoBlockCandidate, dropped) -> _TwoBlockCandidate
                 smaller = _TwoBlockCandidate(
                     _grid_submodel(cand.model, coord, v), cand.c1, cand.c2
                 )
-                try:
-                    if _is_violation(smaller.report(), dropped):
-                        cand = smaller
-                        changed = True
-                        break
-                except Exception:
-                    continue
+                if _is_violation(smaller.report(), dropped):
+                    cand = smaller
+                    changed = True
+                    break
             if changed:
                 break
     return cand
@@ -477,13 +474,10 @@ def _minimize_cks(cand: _CksCandidate, dropped) -> _CksCandidate:
             if len(_axis_values(cand.r, 1)) <= 1:
                 continue
             smaller = _CksCandidate(cand.q, _grid_submodel(cand.r, 1, v))
-            try:
-                if _is_violation(smaller.report(), dropped):
-                    cand = smaller
-                    changed = True
-                    break
-            except Exception:
-                continue
+            if _is_violation(smaller.report(), dropped):
+                cand = smaller
+                changed = True
+                break
     return cand
 
 

@@ -28,6 +28,7 @@ from .model import (
     RationalFunction,
     SubmodelRef,
     check_intersection_stable,
+    component_roots,
     event_label,
     flatten_label,
     join,
@@ -249,23 +250,8 @@ def verify_cks_rewrite(m: FiniteModel, c1: Partition, c2: Partition) -> TheoremR
 def _connectedness_report(m: FiniteModel, family) -> CheckReport:
     """Connectivity of the graph on parameters with an edge whenever two
     parameters share an exhaustion piece."""
-    n = m.num_params
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, exh in family:
-        for _, piece in exh.pieces:
-            first = piece.param_indices[0]
-            for other in piece.param_indices[1:]:
-                ra, rb = find(first), find(other)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    roots = sorted({find(i) for i in range(n)})
+    groups = [piece.param_indices for _, exh in family for _, piece in exh.pieces]
+    roots = sorted(set(component_roots(m.num_params, groups)))
     if len(roots) == 1:
         return CheckReport("connected", VERDICT_PASS, None, ())
     witness = {"components": tuple(m.params[r] for r in roots)}

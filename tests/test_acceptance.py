@@ -43,6 +43,7 @@ from fincomplete.verify import Exhaustion
 from conftest import oracle_is_complete, uniform_chain, valid_incompleteness_witness
 
 REGISTRY = os.path.join(os.path.dirname(__file__), "..", "registry")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def _report(criterion: str, ok: bool, elapsed: float, limit: float, detail: str = ""):
@@ -364,7 +365,8 @@ def test_criterion_9_determinism():
     # byte-identical CLI output across processes, hash seeds, and thread counts
     outs = []
     for hashseed, threads in (("1", "1"), ("2", "4"), ("742", "2")):
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path)
         proc = subprocess.run(
             [
                 sys.executable,

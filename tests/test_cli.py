@@ -119,6 +119,29 @@ class TestExitCodes:
         assert "Traceback" not in err and "error:" in err
         assert not (tmp_path / "p.model").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("truncation-family", "--events", "intervals", "--n", "0"),
+            ("unknown-truncation", "--events", "intervals", "--partition", "C1", "--n", "0"),
+            ("hom-connected", "--partition", "C1", "--exhaustion", "byAxis2", "--mode", "bogus"),
+            ("hom-connected", "--partition", "C1", "--exhaustion", "byAxis2", "--mode", "minimal", "--weak"),
+        ],
+        ids=["truncation-n0", "unknown-truncation-n0", "bogus-mode", "misplaced-weak"],
+    )
+    def test_verify_domain_error_is_three(self, tmp_path, argv):
+        e = fc.load("CE55")
+        doc = model_to_dict(
+            e.model,
+            partitions=e.partitions,
+            exhaustions={"byAxis2": [("1", fc.SubmodelRef.of(0, 2)), ("2", fc.SubmodelRef.of(1, 3))]},
+        )
+        path = tmp_path / "ce55x.model"
+        save_model_file(str(path), doc)
+        code, _, err = invoke_process("verify", *argv, "--model", str(path))
+        assert code == 3
+        assert "Traceback" not in err and "error:" in err
+
     def test_unknown_search_drop_is_three(self):
         code, _, err = invoke_process(
             "search", "--template", "two_block_grid", "--drop", "bogus", "--budget", "1", "--seed", "1"

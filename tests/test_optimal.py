@@ -1,9 +1,13 @@
+import itertools
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 import fincomplete as fc
+from fincomplete import linalg
 from fincomplete import (
     Estimand,
     FiniteModel,
@@ -26,7 +30,9 @@ from fincomplete import (
     unbiased_class,
     zero_unbiased_basis,
 )
-from fincomplete.errors import EnumerationGuardError, NotSufficientError
+from fincomplete.cli import run
+from fincomplete.errors import CertificateError, NotSufficientError
+from fincomplete.serialization import model_to_dict, save_model_file
 from fincomplete.verify import Exhaustion
 
 from conftest import bernoulli_pair_grid, coin, coin_family
@@ -36,6 +42,65 @@ from test_checks import random_small_model
 
 def bernoulli_grid():
     return bernoulli_pair_grid(("0",), ("1/5", "1/4", "1/3"), swap=False)
+
+
+def oracle_optimal_sigma(m, sub):
+    """The optimal partition by enumerating all 2^n subsets in Gray-code
+    order with running orthogonality sums (the engine's former algorithm,
+    kept as the reference for the kernel route)."""
+    n = m.num_points
+    wrows = [
+        linalg.clear_denominators([v * p for v, p in zip(h.values, m.prob[i])])
+        for h in zero_unbiased_basis(m, sub)
+        for i in sub.param_indices
+    ]
+    if not wrows:
+        return Partition.discrete(n)
+    d = len(wrows)
+    sums = [0] * d
+    members = [0]
+    mask = 0
+    for k in range(1, 1 << n):
+        bit = (k & -k).bit_length() - 1
+        mask ^= 1 << bit
+        if mask >> bit & 1:
+            for j in range(d):
+                sums[j] += wrows[j][bit]
+        else:
+            for j in range(d):
+                sums[j] -= wrows[j][bit]
+        if not any(sums):
+            members.append(mask)
+    full = (1 << n) - 1
+    atom = [full] * n
+    for a in members:
+        for x in range(n):
+            if a >> x & 1:
+                atom[x] &= a
+    # The survivor family must be exactly the unions of the atoms: each
+    # member a union of atoms, and their counts matching.  This certifies
+    # closure under complement and intersection.
+    for a in members:
+        for x in range(n):
+            if a >> x & 1 and atom[x] & ~a:
+                raise RuntimeError("orthogonal family is not closed; this is a bug")
+    num_atoms = len({a for a in atom})
+    if len(members) != 1 << num_atoms:
+        raise RuntimeError("orthogonal family is not a sigma-algebra; this is a bug")
+    return Partition(tuple(atom))
+
+
+def model_with_null_points(rng, n, k, zero_share):
+    """k random distributions on n points; each mass is zero with
+    probability ``zero_share``, and a point may be null for every one."""
+    rows = []
+    for _ in range(k):
+        while True:
+            raw = [0 if rng.random() < zero_share else rng.randint(1, 6) for _ in range(n)]
+            if sum(raw):
+                rows.append(tuple(Fraction(w, sum(raw)) for w in raw))
+                break
+    return FiniteModel(tuple(f"x{i}" for i in range(n)), tuple(f"t{i}" for i in range(k)), tuple(rows))
 
 
 class TestZeroUnbiasedBasis:
@@ -101,11 +166,23 @@ class TestOptimalSigmaAlgebra:
         m = coin_family("1/3", "1/2")
         assert optimal_sigma_algebra(m, SubmodelRef.full(m)) == Partition.discrete(2)
 
-    def test_guard(self):
-        m = power_model(coin("1/2"), 3)
-        with pytest.raises(EnumerationGuardError):
-            optimal_sigma_algebra(m, SubmodelRef.full(m), enum_guard=4)
-        optimal_sigma_algebra(m, SubmodelRef.full(m), enum_guard=8)
+    def test_kernel_route_matches_enumeration_oracle(self):
+        rng = random.Random(41)
+        for case in range(300):
+            m = model_with_null_points(rng, rng.randint(1, 12), rng.randint(1, 5), (0.3, 0.5)[case % 2])
+            k = m.num_params
+            sub = SubmodelRef(tuple(sorted(rng.sample(range(k), rng.randint(1, k)))))
+            assert optimal_sigma_algebra(m, sub) == oracle_optimal_sigma(m, sub)
+
+    def test_iid_power_past_the_former_guard(self, capsys, tmp_path):
+        # 32 points; six distinct biases make the sum complete for five tosses
+        m = power_model(coin_family("1/7", "1/5", "1/3", "1/2", "2/3", "4/5"), 5)
+        by_sum = Partition(tuple(sum(t) for t in itertools.product((0, 1), repeat=5)))
+        assert optimal_sigma_algebra(m, SubmodelRef.full(m)) == by_sum
+        path = tmp_path / "p5.model"
+        save_model_file(str(path), model_to_dict(m))
+        assert run(["--json", "optimal-sigma", "--model", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["partition"] == list(by_sum.block_id)
 
     def test_off_support_points_are_singleton_atoms(self):
         m = FiniteModel(
@@ -141,6 +218,31 @@ class TestOptimalSigmaAlgebra:
                     for y in su:
                         if c.block_id[x] == c.block_id[y]:
                             assert part.block_id[x] == part.block_id[y]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda b: [(b[0][0] + 1,) + b[0][1:]] + b[1:], lambda b: b[:-1], lambda b: [v[::-1] for v in b]],
+    ids=["perturbed", "truncated", "reversed"],
+)
+def test_corrupted_kernel_is_never_a_partition(capsys, monkeypatch, corrupt):
+    genuine = linalg.kernel_basis
+
+    def fake(rows, width):
+        basis = genuine(rows, width)
+        # each row h P of W sums to P(h) = 0, while the expectation rows
+        # behind the zero-unbiased basis sum to one
+        return corrupt(basis) if rows and all(sum(r) == 0 for r in rows) else basis
+
+    monkeypatch.setattr(linalg, "kernel_basis", fake)
+    e = fc.load("CE55")
+    with pytest.raises(CertificateError):
+        optimal_sigma_algebra(e.model, SubmodelRef.of(2, 3))
+    model = os.path.join(os.path.dirname(__file__), "..", "registry", "ce55.model")
+    assert run(["--json", "optimal-sigma", "--model", model, "--sub", "theta1=2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and "re-check" in captured.err
 
 
 class TestOptimalityChecks:
