@@ -16,6 +16,7 @@ point, then parameter pair), so reports are reproducible byte for byte.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from . import linalg
 from .errors import CertificateError
@@ -85,41 +86,46 @@ def is_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport
     across all parameters giving the block positive mass.
 
     The comparison is by cross-multiplication, P(x) P'(B) = P'(x) P(B), so
-    no division occurs.  On fail the witness names the first offending
-    (point, block, parameter pair).
+    no division occurs.  Agreement is transitive, so each member is
+    compared with the first one giving the block positive mass only.  On
+    fail the witness names the first offending (point, block, parameter
+    pair), the same one an all-pairs scan finds first.
     """
     sub.validate(m)
-    idx = sub.param_indices
-    for bnum, block in enumerate(c.blocks()):
-        masses = [(i, m.event_mass(i, block)) for i in idx]
-        positive = [(i, t) for i, t in masses if t > 0]
-        for a in range(len(positive)):
-            i, ti = positive[a]
-            for b in range(a + 1, len(positive)):
-                j, tj = positive[b]
-                for x in block:
-                    if m.prob[i][x] * tj != m.prob[j][x] * ti:
-                        witness = {
-                            "point": m.points[x],
-                            "block": tuple(m.points[y] for y in block),
-                            "params": (m.params[i], m.params[j]),
-                        }
-                        return CheckReport("sufficient", VERDICT_FAIL, witness, ())
+    for block in c.blocks():
+        positive = [(i, t) for i in sub.param_indices if (t := m.event_mass(i, block)) > 0]
+        if not positive:
+            continue
+        i, ti = positive[0]
+        for j, tj in positive[1:]:
+            for x in block:
+                if m.prob[i][x] * tj != m.prob[j][x] * ti:
+                    witness = {
+                        "point": m.points[x],
+                        "block": tuple(m.points[y] for y in block),
+                        "params": (m.params[i], m.params[j]),
+                    }
+                    return CheckReport("sufficient", VERDICT_FAIL, witness, ())
     return CheckReport("sufficient", VERDICT_PASS, None, ())
 
 
-def _proportional(u, v) -> bool:
-    """Proportionality of nonzero rational vectors by cross-multiplication."""
-    iu = next(i for i, x in enumerate(u) if x != 0)
-    iv = next(i for i, x in enumerate(v) if x != 0)
-    if iu != iv:
-        return False
-    return all(u[iu] * v[j] == v[iu] * u[j] for j in range(iu + 1, len(u)))
+def _ray_key(column) -> tuple[int, ...] | str:
+    """The primitive integer vector on the ray through a likelihood vector,
+    first nonzero entry positive: equal exactly for proportional vectors.
+    The zero vector, a point off the support union, is "off-support"."""
+    ints = linalg.clear_denominators(column)
+    g = gcd(*ints)
+    if g == 0:
+        return "off-support"
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 def minimal_sufficient_partition(m: FiniteModel, sub: SubmodelRef) -> Partition:
     """The minimal sufficient partition: on the support union, points share
-    a block exactly when their likelihood vectors are proportional.
+    a block exactly when their likelihood vectors are proportional, that
+    is, when they have the same ray key.
 
     Points outside the support union form one dedicated extra block; the
     construction is only almost surely determined there, and the fixed
@@ -127,22 +133,8 @@ def minimal_sufficient_partition(m: FiniteModel, sub: SubmodelRef) -> Partition:
     module are always restricted to the support union.
     """
     sub.validate(m)
-    su = support_union(m, sub)
-    reps: list[tuple[int, tuple[Fraction, ...]]] = []
-    labels = []
-    for x in range(m.num_points):
-        if x not in su:
-            labels.append("off-support")
-            continue
-        vec = tuple(m.prob[i][x] for i in sub.param_indices)
-        for g, (rep_point, rep_vec) in enumerate(reps):
-            if _proportional(rep_vec, vec):
-                labels.append(g)
-                break
-        else:
-            labels.append(len(reps))
-            reps.append((x, vec))
-    return Partition(tuple(labels))
+    columns = zip(*(m.prob[i] for i in sub.param_indices))
+    return Partition(tuple(_ray_key(column) for column in columns))
 
 
 def is_minimal_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:

@@ -270,19 +270,11 @@ def _cmd_check(args) -> int:
     return _emit_check(report, m, args.json)
 
 
-def _cmd_minimal(args) -> int:
+def _cmd_partition(args) -> int:
+    """``minimal`` and ``optimal-sigma``: print one partition of the points."""
     doc = _load(args.model)
-    part = minimal_sufficient_partition(doc.model, parse_submodel(doc.model, args.sub))
-    if args.json:
-        print(dumps({"partition": list(part.block_id)}), end="")
-    else:
-        print("partition: " + partition_text(part))
-    return EXIT_OK
-
-
-def _cmd_optimal_sigma(args) -> int:
-    doc = _load(args.model)
-    part = optimal_sigma_algebra(doc.model, parse_submodel(doc.model, args.sub))
+    find = minimal_sufficient_partition if args.command == "minimal" else optimal_sigma_algebra
+    part = find(doc.model, parse_submodel(doc.model, args.sub))
     if args.json:
         print(dumps({"partition": list(part.block_id)}), end="")
     else:
@@ -487,8 +479,8 @@ def _cmd_construct(args) -> int:
 _COMMANDS = {
     "validate": _cmd_validate,
     "check": _cmd_check,
-    "minimal": _cmd_minimal,
-    "optimal-sigma": _cmd_optimal_sigma,
+    "minimal": _cmd_partition,
+    "optimal-sigma": _cmd_partition,
     "umvue": _cmd_umvue,
     "rao-blackwell": _cmd_rao_blackwell,
     "verify": _cmd_verify,

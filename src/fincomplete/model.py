@@ -352,25 +352,28 @@ class RationalFunction:
 def validate_model(m: FiniteModel) -> CheckReport:
     """Check every model invariant; failures are reported, not raised.
 
-    The first violated invariant is named, with its location.
+    The first violated invariant is named in the note, and located by the
+    witness.
     """
     prop = "valid-model"
     if m.num_points < 1:
-        return CheckReport(prop, "fail", None, ("no points",))
+        return CheckReport(prop, "fail", {"points": 0}, ("no points",))
     if m.num_params < 1:
-        return CheckReport(prop, "fail", None, ("no parameters",))
-    if len(set(m.points)) != m.num_points:
-        return CheckReport(prop, "fail", None, ("point labels not distinct",))
-    if len(set(m.params)) != m.num_params:
-        return CheckReport(prop, "fail", None, ("parameter labels not distinct",))
+        return CheckReport(prop, "fail", {"params": 0}, ("no parameters",))
+    for kind, key, labels in (("point", "point", m.points), ("parameter", "param", m.params)):
+        if len(set(labels)) != len(labels):
+            repeated = next(lab for x, lab in enumerate(labels) if lab in labels[:x])
+            return CheckReport(prop, "fail", {key: repeated}, (f"{kind} labels not distinct",))
     for i, row in enumerate(m.prob):
+        at = {"param": m.params[i]}
         if len(row) != m.num_points:
-            return CheckReport(prop, "fail", None, (f"row length mismatch at param {i}",))
+            return CheckReport(prop, "fail", at, (f"row length mismatch at param {i}",))
         for x, p in enumerate(row):
             if p < 0:
-                return CheckReport(prop, "fail", None, (f"negative mass at param {i}, point {x}",))
+                at["point"] = m.points[x]
+                return CheckReport(prop, "fail", at, (f"negative mass at param {i}, point {x}",))
         if sum(row) != 1:
-            return CheckReport(prop, "fail", None, (f"row sum != 1 at param {i}",))
+            return CheckReport(prop, "fail", at, (f"row sum != 1 at param {i}",))
     return CheckReport(prop, "pass", None, ())
 
 

@@ -118,6 +118,14 @@ class ModelDocument:
             raise InputError(f"model file has no event list named {name!r}") from None
 
 
+def _labelled(doc: dict, key: str) -> dict[str, list]:
+    """An optional field mapping labels to lists; absent or null is empty."""
+    table = {} if doc.get(key) is None else doc[key]
+    if not isinstance(table, dict) or not all(isinstance(v, list) for v in table.values()):
+        raise InputError(f"{key} must be an object mapping labels to lists")
+    return table
+
+
 def model_from_dict(doc: dict) -> ModelDocument:
     if not isinstance(doc, dict):
         raise InputError("model document must be a JSON object")
@@ -127,6 +135,8 @@ def model_from_dict(doc: dict) -> ModelDocument:
     points = doc["points"]
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
         raise InputError("points must be a list of strings")
+    if not isinstance(doc["params"], list):
+        raise InputError("params must be a list")
     params = [_param_from_json(p) for p in doc["params"]]
     prob_raw = doc["prob"]
     if not isinstance(prob_raw, list) or len(prob_raw) != len(params):
@@ -140,32 +150,34 @@ def model_from_dict(doc: dict) -> ModelDocument:
 
     n = len(points)
     partitions = {}
-    for name, ids in (doc.get("partitions") or {}).items():
-        if not isinstance(ids, list) or len(ids) != n or not all(isinstance(i, int) for i in ids):
+    for name, ids in _labelled(doc, "partitions").items():
+        if len(ids) != n or not all(isinstance(i, int) for i in ids):
             raise InputError(f"partition {name!r} must be a point-indexed list of ints")
         partitions[name] = Partition(tuple(ids))
     functions = {}
-    for name, vals in (doc.get("functions") or {}).items():
-        if not isinstance(vals, list) or len(vals) != n:
+    for name, vals in _labelled(doc, "functions").items():
+        if len(vals) != n:
             raise InputError(f"function {name!r} must be a point-indexed list")
         functions[name] = RationalFunction(tuple(parse_rational(x) for x in vals))
     exhaustions = {}
-    for name, pieces in (doc.get("exhaustions") or {}).items():
+    for name, pieces in _labelled(doc, "exhaustions").items():
         parsed = []
         for piece in pieces:
             if not isinstance(piece, dict) or "label" not in piece or "params" not in piece:
                 raise InputError(f"exhaustion {name!r} pieces need 'label' and 'params'")
             idx = piece["params"]
-            if not all(isinstance(i, int) and 0 <= i < len(params) for i in idx):
+            if not isinstance(idx, list) or not all(isinstance(i, int) and 0 <= i < len(params) for i in idx):
                 raise InputError(f"exhaustion {name!r} has out-of-range parameter indices")
+            if not idx or len(set(idx)) != len(idx):
+                raise InputError(f"exhaustion {name!r} pieces need distinct parameter indices")
             parsed.append((str(piece["label"]), SubmodelRef(tuple(idx))))
         exhaustions[name] = parsed
     events = {}
-    for name, lists in (doc.get("events") or {}).items():
+    for name, lists in _labelled(doc, "events").items():
         parsed_events = []
         for e in lists:
-            if not all(isinstance(i, int) and 0 <= i < n for i in e):
-                raise InputError(f"event list {name!r} has out-of-range point indices")
+            if not isinstance(e, list) or not all(isinstance(i, int) and 0 <= i < n for i in e):
+                raise InputError(f"event list {name!r} must hold lists of in-range point indices")
             parsed_events.append(frozenset(e))
         events[name] = parsed_events
     return ModelDocument(model, partitions, functions, exhaustions, events)

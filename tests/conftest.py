@@ -5,7 +5,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from hypothesis import settings
+
 from fincomplete import FiniteModel, Partition, SubmodelRef, support_union
+
+# Every property test draws its examples from a fixed seed, so a run is
+# reproducible, and no wall-clock deadline can fail a slow example.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def coin(p) -> FiniteModel:

@@ -420,3 +420,28 @@ def test_discrete_completeness_witness_needs_no_kernel_basis(capsys, tmp_path, m
     assert run(argv) == 1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_CE55_POW6_COMPLETE_SHA256
+
+
+# SHA-256 of the `--json minimal` stdout and of the `--json check --partition
+# discrete --property sufficient` stdout for the 6th power of ce55.model, as
+# produced by the representative scan and the all-pairs sufficiency loop
+# before the ray-key pass and the first-member comparison replaced them.
+GOLDEN_CE55_POW6_MINIMAL_SHA256 = "7db8f1f808d3c969d50bfacfc6db8c999f00934639f39a771d90b33a6af7af77"
+GOLDEN_CE55_POW6_SUFFICIENT_SHA256 = "32c6d3ca2bd1b383e919a26aaf24f4172f5b9465a9515140dd5bbb393d5af113"
+
+
+def test_ce55_power_minimal_and_sufficiency_bytes(capsys, tmp_path):
+    out_path = str(tmp_path / "ce55_pow6.model")
+    base = os.path.join(REGISTRY, "ce55.model")
+    assert run(["construct", "power", "--model", base, "--n", "6", "--out", out_path]) == 0
+    capsys.readouterr()
+    for argv, golden in (
+        (["--json", "minimal", "--model", out_path], GOLDEN_CE55_POW6_MINIMAL_SHA256),
+        (
+            ["--json", "check", "--model", out_path, "--partition", "discrete", "--property", "sufficient"],
+            GOLDEN_CE55_POW6_SUFFICIENT_SHA256,
+        ),
+    ):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import fincomplete as fc
 from fincomplete import (
     FiniteModel,
@@ -21,6 +24,8 @@ from fincomplete import (
     product_model,
     support_union,
 )
+from fincomplete.checks import _ray_key
+from fincomplete.reports import VERDICT_FAIL, VERDICT_PASS, CheckReport
 
 from conftest import (
     all_partitions,
@@ -49,6 +54,108 @@ def random_small_model(rng, max_points=4, max_params=4):
 
 def random_partition(rng, n):
     return Partition(tuple(rng.randint(0, n - 1) for _ in range(n)))
+
+
+# --- oracles: the engine's former representative scan for the minimal
+# sufficient partition and its all-pairs sufficiency loop, kept verbatim as
+# the references for the ray-key pass and the first-member comparison ---
+
+
+def _proportional(u, v) -> bool:
+    """Proportionality of nonzero rational vectors by cross-multiplication."""
+    iu = next(i for i, x in enumerate(u) if x != 0)
+    iv = next(i for i, x in enumerate(v) if x != 0)
+    if iu != iv:
+        return False
+    return all(u[iu] * v[j] == v[iu] * u[j] for j in range(iu + 1, len(u)))
+
+
+def oracle_minimal_sufficient_partition(m: FiniteModel, sub: SubmodelRef) -> Partition:
+    """Each support point joins the first earlier representative whose
+    likelihood vector is proportional to its own."""
+    sub.validate(m)
+    su = support_union(m, sub)
+    reps: list[tuple[int, tuple[Fraction, ...]]] = []
+    labels = []
+    for x in range(m.num_points):
+        if x not in su:
+            labels.append("off-support")
+            continue
+        vec = tuple(m.prob[i][x] for i in sub.param_indices)
+        for g, (rep_point, rep_vec) in enumerate(reps):
+            if _proportional(rep_vec, vec):
+                labels.append(g)
+                break
+        else:
+            labels.append(len(reps))
+            reps.append((x, vec))
+    return Partition(tuple(labels))
+
+
+def oracle_is_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
+    """Every pair of members giving a block positive mass is compared."""
+    sub.validate(m)
+    idx = sub.param_indices
+    for bnum, block in enumerate(c.blocks()):
+        masses = [(i, m.event_mass(i, block)) for i in idx]
+        positive = [(i, t) for i, t in masses if t > 0]
+        for a in range(len(positive)):
+            i, ti = positive[a]
+            for b in range(a + 1, len(positive)):
+                j, tj = positive[b]
+                for x in block:
+                    if m.prob[i][x] * tj != m.prob[j][x] * ti:
+                        witness = {
+                            "point": m.points[x],
+                            "block": tuple(m.points[y] for y in block),
+                            "params": (m.params[i], m.params[j]),
+                        }
+                        return CheckReport("sufficient", VERDICT_FAIL, witness, ())
+    return CheckReport("sufficient", VERDICT_PASS, None, ())
+
+
+_SCALES = (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 2))
+
+
+@st.composite
+def models_with_submodels(draw, max_points=8, max_params=5):
+    """Models with zero masses, all-zero (off-support) columns, columns
+    that are scaled copies of earlier ones and members equal to earlier
+    ones, plus a possibly proper submodel; columns zero on the submodel
+    alone are off its support."""
+    n = draw(st.integers(min_value=1, max_value=max_points))
+    k = draw(st.integers(min_value=1, max_value=max_params))
+    weights = st.sampled_from((0, 0, 1, 2, 3, 5))
+    cols: list[list[Fraction]] = []
+    for _ in range(n):
+        kinds = ("fresh", "fresh", "fresh", "zero") + (("copy",) if cols else ())
+        kind = draw(st.sampled_from(kinds))
+        if kind == "copy":
+            scale = draw(st.sampled_from(_SCALES))
+            cols.append([scale * v for v in draw(st.sampled_from(cols))])
+        elif kind == "zero":
+            cols.append([Fraction(0)] * k)
+        else:
+            cols.append([Fraction(draw(weights)) for _ in range(k)])
+    raw = [[col[i] for col in cols] for i in range(k)]
+    for i in range(1, k):  # equal members: a block's first two can agree
+        if draw(st.sampled_from((False, False, True))):
+            raw[i] = list(raw[draw(st.integers(min_value=0, max_value=i - 1))])
+    rows = []
+    for row in raw:
+        if not any(row):
+            row[draw(st.integers(min_value=0, max_value=n - 1))] = Fraction(1)
+        rows.append(tuple(w / sum(row) for w in row))
+    m = FiniteModel(tuple(f"x{x}" for x in range(n)), tuple(f"t{i}" for i in range(k)), tuple(rows))
+    if draw(st.booleans()):
+        return m, SubmodelRef.full(m)
+    return m, SubmodelRef(tuple(draw(st.sets(st.integers(min_value=0, max_value=k - 1), min_size=1))))
+
+
+signed_entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+signed_vectors = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(signed_entries, min_size=n, max_size=n)
+)
 
 
 class TestIsComplete:
@@ -126,6 +233,16 @@ class TestIsSufficient:
             finer = join(c, random_partition(rng, n))
             assert is_sufficient(finer, m, sub).passed
 
+    @given(models_with_submodels(), st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_first_member_comparison_matches_all_pairs(self, case, data):
+        m, sub = case
+        n = m.num_points
+        labels = data.draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))
+        c = Partition(tuple(labels))
+        got, want = is_sufficient(c, m, sub), oracle_is_sufficient(c, m, sub)
+        assert (got.verdict, got.witness) == (want.verdict, want.witness)
+
 
 class TestMinimalSufficiency:
     def test_single_parameter_collapses_support(self):
@@ -183,6 +300,25 @@ class TestMinimalSufficiency:
         assert "sufficient but not minimal" in finer.notes
         # the full model's minimal sufficient partition is discrete
         assert is_minimal_sufficient(Partition.discrete(3), m, SubmodelRef.full(m)).passed
+
+    @given(models_with_submodels())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_ray_keys_match_representative_scan(self, case):
+        m, sub = case
+        assert minimal_sufficient_partition(m, sub) == oracle_minimal_sufficient_partition(m, sub)
+
+    @given(signed_vectors, st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_ray_key_equal_exactly_when_proportional(self, u, data):
+        scaled = st.sampled_from((-2, -1, Fraction(-1, 3), Fraction(1, 3), 3)).map(
+            lambda s: [s * x for x in u]
+        )
+        arbitrary = st.lists(signed_entries, min_size=len(u), max_size=len(u))
+        v = data.draw(st.one_of(arbitrary, scaled))
+        if any(u) and any(v):
+            assert (_ray_key(u) == _ray_key(v)) == _proportional(u, v)
+        else:
+            assert (_ray_key(u) == _ray_key(v)) == (not any(u) and not any(v))
 
 
 class TestAncillaryIndependentHomogeneous:

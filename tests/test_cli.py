@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -5,10 +8,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fincomplete as fc
 from fincomplete import linalg
-from fincomplete.cli import run
+from fincomplete.cli import PROPERTIES, run
 from fincomplete.errors import CertificateError
 from fincomplete.serialization import dumps, load_model_file, model_to_dict, save_model_file
 
@@ -157,6 +162,36 @@ class TestExitCodes:
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, _, err = invoke_process("validate", "--model", str(path))
         assert code == 3
+        assert "Traceback" not in err and "error:" in err
+
+    @pytest.mark.parametrize(
+        "base, field, value",
+        [
+            ("ce55.model", "events", {"E": 5}),
+            ("ce55.model", "events", {"E": [5]}),
+            ("ce55.model", "exhaustions", {"X": 3}),
+            ("ce55.model", "exhaustions", {"X": [{"label": "a", "params": 0}]}),
+            ("ce55.model", "exhaustions", {"X": [{"label": "a", "params": []}]}),
+            ("ce55.model", "exhaustions", {"X": [{"label": "a", "params": [0, 0]}]}),
+            ("ce55.model", "partitions", [[0, 1]]),
+            ("ce55.model", "functions", [["1", "2"]]),
+            ("ce53_q.model", "params", "t0"),
+        ],
+        ids=[
+            "event-list-int", "event-int", "exhaustion-int", "piece-params-int",
+            "piece-params-empty", "piece-params-repeated", "partitions-list",
+            "functions-list", "params-string",
+        ],
+    )
+    def test_malformed_document_shape_is_three(self, tmp_path, base, field, value):
+        with open(reg(base), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc[field] = value
+        path = tmp_path / "bad.model"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = invoke_process("validate", "--model", str(path))
+        assert code == 3
+        assert out == ""
         assert "Traceback" not in err and "error:" in err
 
 
@@ -451,3 +486,87 @@ class TestDeterminism:
         payload = json.loads(out)
         assert payload["witness"]["point"] == "1"
         assert out == dumps(payload)
+
+
+# --- seeded exit-code fuzz: mutated registry documents and argv ---
+
+REGISTRY_DOCS = {}
+for _name in sorted(os.listdir(REGISTRY)):
+    with open(reg(_name), encoding="utf-8") as _fh:
+        REGISTRY_DOCS[_name] = _fh.read()
+
+JUNK = st.sampled_from((
+    None, 0, 1, -1, 2.5, True, "", "x", "0", "1", "1/2", "-1/2", "1/0", "0.5",
+    [], [0], ["1"], [[0]], {}, {"a": [0]}, {"label": "a", "params": [0]},
+)).map(copy.deepcopy)
+MASSES = st.sampled_from(("0", "1", "1/2", "-1/2", "2/3", "1/0", "0.5"))
+SUBS = ("all", "all", "params=0", "params=1,0", "theta1=1", "theta2=2", "params=0,0", "params=9", "bogus")
+ARGV_JUNK = ("--bogus", "", "--sub", "--model", "check", "--partition")
+
+
+@st.composite
+def fuzz_cases(draw):
+    """A registry document after zero to three mutations, each at a node
+    reached by a random descent: dropped, retyped (a string, such as a
+    mass, to another rational string or junk), or (for a list such as a
+    prob row or a partition) lengthened or shortened; and the argv of one
+    command on it, sometimes with a token dropped or a junk token added.
+    The model path in the argv is the placeholder MODEL."""
+    name = draw(st.sampled_from(sorted(REGISTRY_DOCS)))
+    doc = json.loads(REGISTRY_DOCS[name])
+    partitions = sorted(doc.get("partitions", {}))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2, 3)))):
+        parent, key = None, None
+        node = doc
+        while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, draw(st.sampled_from(keys))
+            node = node[key]
+        if parent is None:
+            doc = draw(JUNK)
+            break
+        op = draw(st.sampled_from(("drop", "retype", "grow", "shrink")))
+        if op == "drop":
+            del parent[key]
+        elif op == "grow" and isinstance(node, list):
+            node.append(copy.deepcopy(node[-1]) if node and draw(st.booleans()) else draw(JUNK))
+        elif op == "shrink" and isinstance(node, list) and node:
+            node.pop()
+        else:
+            parent[key] = draw(MASSES if isinstance(node, str) else JUNK)
+
+    command = draw(st.sampled_from(("check", "minimal", "optimal-sigma", "validate")))
+    argv = ["--json"] if draw(st.booleans()) else []
+    argv += [command, "--model", "MODEL"]
+    if command != "validate" and draw(st.booleans()):
+        argv += ["--sub", draw(st.sampled_from(SUBS))]
+    if command == "check":
+        prop = draw(st.sampled_from(PROPERTIES + ("bogus",)))
+        argv += ["--property", prop]
+        names = st.sampled_from(("discrete", "trivial", "nope", *partitions, *partitions))
+        argv += ["--partition", draw(names)]
+        if prop in ("independent", "basu") or draw(st.booleans()):
+            argv += ["--partition2", draw(names)]
+    if draw(st.sampled_from((False, False, False, True))):
+        at = draw(st.integers(min_value=0, max_value=len(argv) - 1))
+        if draw(st.booleans()):
+            del argv[at]
+        else:
+            argv.insert(at, draw(st.sampled_from(ARGV_JUNK)))
+    return doc, argv
+
+
+@given(fuzz_cases())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_fuzzed_documents_and_argv_map_to_exit_codes(tmp_path_factory, case):
+    doc, argv = case
+    path = str(tmp_path_factory.getbasetemp() / "fuzz.model")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    argv = [path if a == "MODEL" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 1 and argv[0] == "--json":
+        assert json.loads(out.getvalue())["witness"] is not None

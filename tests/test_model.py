@@ -37,6 +37,7 @@ class TestValidateModel:
         rep = validate_model(m)
         assert rep.failed
         assert rep.notes == ("row sum != 1 at param 0",)
+        assert rep.witness == {"param": "t"}
 
     def test_registry_insufficient_join_model_is_valid(self):
         assert validate_model(fc.load("CE55").model).passed
@@ -44,8 +45,10 @@ class TestValidateModel:
     def test_negative_mass_and_duplicate_labels(self):
         m = FiniteModel(("a", "b"), ("t",), ((Fraction(3, 2), Fraction(-1, 2)),))
         assert "negative mass" in validate_model(m).notes[0]
+        assert validate_model(m).witness == {"param": "t", "point": "b"}
         m = FiniteModel(("a", "a"), ("t",), ((Fraction(1, 2), Fraction(1, 2)),))
         assert "point labels" in validate_model(m).notes[0]
+        assert validate_model(m).witness == {"point": "a"}
 
 
 class TestSupportUnion:
