@@ -65,7 +65,8 @@ def combine_reports(name: str, *parts: CheckReport) -> CheckReport:
 class TheoremReport:
     """An executable theorem instance: every hypothesis is evaluated (no
     short-circuiting, so reports localize every gap) and then the
-    conclusion."""
+    conclusion.  Only the hunt's predicate, which needs no report, stops
+    at the first failing hypothesis."""
 
     theorem: str
     hypothesis_results: tuple[tuple[str, CheckReport], ...]

@@ -9,9 +9,11 @@ guarantee is re-checked rather than trusted.
 
 The hunt explores random instances of a verifier template with one
 hypothesis family dropped, looking for instances where every remaining
-hypothesis passes while the conclusion fails.  Finds are re-verified with
-the full verifier, then greedily minimized (parameters before points, in
-canonical order) while preserving the violation at every step.
+hypothesis passes while the conclusion fails.  It judges each candidate
+with the verifier's declared hypotheses (:class:`verify.Hypotheses`),
+stopping at the first failure; verifier reports never stop early.  A find
+is greedily minimized, dropping grid parameters one axis value at a time
+while the violation holds, and then gets one full verifier report.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .checks import is_complete, is_sufficient
+from . import verify
+from .checks import is_complete
 from .errors import GenerationError
 from .model import (
     FiniteModel,
@@ -40,18 +43,9 @@ from .model import (
 )
 from .optimal import exists_complete_sufficient
 from .reports import TheoremReport
-from .verify import (
-    Exhaustion,
-    cks_product,
-    truncation_exhaustions,
-    verify_cks,
-    verify_joint_completeness,
-    verify_two_block_grid,
-)
+from .verify import Exhaustion, truncation_exhaustions, verify_joint_completeness
 
 DEFAULT_MASS_GRID = tuple(Fraction(i, 12) for i in range(13))
-
-TEMPLATES = ("joint_completeness", "two_block_grid", "cks")
 
 
 @dataclass(frozen=True)
@@ -270,104 +264,40 @@ def gen_main_instance(cfg: GenConfig) -> MainInstance:
 
 # --- hunt -----------------------------------------------------------------
 
-_DROPPABLE = {
-    "joint_completeness": ("completeness", "sufficiency"),
-    "two_block_grid": (
-        "c1-sufficiency",
-        "c1-completeness",
-        "c2-sufficiency",
-        "c2-completeness",
-    ),
-    "cks": ("q-completeness", "r-completeness", "homogeneity"),
-}
-
-# Hypothesis labels covered by each droppable family, as substrings.
-_DROP_MATCH = {
-    "c1-sufficiency": "c1-sufficient[",
-    "c1-completeness": "c1-complete[",
-    "c2-sufficiency": "c2-sufficient[",
-    "c2-completeness": "c2-complete[",
-    "q-completeness": "first-family-complete",
-    "r-completeness": "second-family-complete[",
-    "homogeneity": "second-family-homogeneous[",
-    "completeness": " complete[",
-    "sufficiency": " sufficient[",
-}
+_COIN_PAIR_POINTS = ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
 
 
-def _dropped_label(dropped: str | None, label: str) -> bool:
-    if dropped is None:
-        return False
-    return _DROP_MATCH[dropped] in label
-
-
-def _is_violation(report: TheoremReport, dropped: str | None) -> bool:
-    if report.conclusion_result.verdict != "fail":
-        return False
-    for label, rep in report.hypothesis_results:
-        if rep.failed and not _dropped_label(dropped, label):
-            return False
-    return True
-
-
-def _coin_pair_model(ps: dict[tuple[str, str], Fraction], axis1, axis2) -> FiniteModel:
-    points = ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
-    params = tuple((a, b) for a in axis1 for b in axis2)
-    rows = []
-    for a, b in params:
-        p = ps[(a, b)]
-        rows.append(((1 - p) * (1 - p), (1 - p) * p, p * (1 - p), p * p))
-    return FiniteModel(points, params, tuple(rows))
-
-
-@dataclass
-class _TwoBlockCandidate:
-    model: FiniteModel
-    c1: Partition
-    c2: Partition
-
-    def report(self) -> TheoremReport:
-        return verify_two_block_grid(self.model, self.c1, self.c2)
-
-
-@dataclass
-class _CksCandidate:
-    q: FiniteModel
-    r: FiniteModel
-
-    def report(self) -> TheoremReport:
-        return verify_cks(self.q, self.r)
+def _coin_pair_row(pa: Fraction, pb: Fraction) -> tuple[Fraction, ...]:
+    """Masses of two independent coins with heads probabilities pa and pb."""
+    qa, qb = 1 - pa, 1 - pb
+    return (qa * qb, qa * pb, pa * qb, pa * pb)
 
 
 def _proper_fractions(grid) -> list[Fraction]:
-    return [g for g in grid if 0 < g < 1]
+    # Runs once per draw; comparing a Fraction with an int is much slower.
+    return [g for g in grid if 0 < g.numerator < g.denominator]
 
 
-def _gen_two_block_candidate(rng: random.Random, cfg: GenConfig) -> _TwoBlockCandidate:
+def _gen_two_block_candidate(
+    rng: random.Random, cfg: GenConfig
+) -> tuple[FiniteModel, Partition, Partition]:
     pool = _proper_fractions(cfg.mass_grid)
-    axis1 = ("0", "1")
-    n2 = 3
-    axis2 = tuple(f"s{j}" for j in range(n2))
-    points = ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
+    params = tuple((a, f"s{j}") for a in ("0", "1") for j in range(3))
     sum_partition = Partition((0, 1, 1, 2))
     x1_partition = Partition((0, 0, 1, 1))
     x2_partition = Partition((0, 1, 0, 1))
     if rng.random() < 0.7:
-        ps = {(a, b): rng.choice(pool) for a in axis1 for b in axis2}
-        model = _coin_pair_model(ps, axis1, axis2)
+        # i.i.d. coin pairs: one bias per parameter
+        ps = [rng.choice(pool) for _ in params]
+        rows = tuple(_coin_pair_row(p, p) for p in ps)
         c2 = sum_partition if rng.random() < 0.8 else x2_partition
-        return _TwoBlockCandidate(model, x1_partition, c2)
-    params = tuple((a, b) for a in axis1 for b in axis2)
-    rows = []
-    for a, b in params:
-        pa, pb = rng.choice(pool), rng.choice(pool)
-        rows.append(((1 - pa) * (1 - pb), (1 - pa) * pb, pa * (1 - pb), pa * pb))
-    model = FiniteModel(points, params, tuple(rows))
-    c2 = x2_partition if rng.random() < 0.6 else sum_partition
-    return _TwoBlockCandidate(model, x1_partition, c2)
+    else:
+        rows = tuple(_coin_pair_row(rng.choice(pool), rng.choice(pool)) for _ in params)
+        c2 = x2_partition if rng.random() < 0.6 else sum_partition
+    return FiniteModel(_COIN_PAIR_POINTS, params, rows), x1_partition, c2
 
 
-def _gen_cks_candidate(rng: random.Random, cfg: GenConfig) -> _CksCandidate:
+def _gen_cks_candidate(rng: random.Random, cfg: GenConfig) -> tuple[FiniteModel, FiniteModel]:
     pool = _proper_fractions(cfg.mass_grid)
     q = FiniteModel(
         ("0", "1"),
@@ -377,192 +307,11 @@ def _gen_cks_candidate(rng: random.Random, cfg: GenConfig) -> _CksCandidate:
     params = tuple((a, b) for a in ("0", "1") for b in ("0", "1"))
     rows = []
     for _ in params:
-        if rng.random() < 0.4:
-            at = rng.randint(0, 1)
-            rows.append((Fraction(1 - at), Fraction(at)))
-        else:
-            p = rng.choice(pool)
-            rows.append((1 - p, p))
+        # some rows are point masses, whose smaller support can break homogeneity
+        p = Fraction(rng.randint(0, 1)) if rng.random() < 0.4 else rng.choice(pool)
+        rows.append((1 - p, p))
     r = FiniteModel(("0", "1"), params, tuple(rows))
-    return _CksCandidate(q, r)
-
-
-def _two_block_quick_reject(cand: _TwoBlockCandidate, dropped: str | None) -> bool:
-    """Cheap short-circuit for the common case: evaluate the hypothesis
-    families in a fixed order and reject on the first non-dropped failure.
-    The full verifier re-checks any surviving candidate."""
-    m = cand.model
-    checks = (
-        ("c1-sufficiency", 1, cand.c1, is_sufficient),
-        ("c1-completeness", 1, cand.c1, is_complete),
-        ("c2-sufficiency", 0, cand.c2, is_sufficient),
-        ("c2-completeness", 0, cand.c2, is_complete),
-    )
-    for name, coord, part, fn in checks:
-        if dropped == name:
-            continue
-        values = []
-        for lab in m.params:
-            v = lab[coord]
-            if v not in values:
-                values.append(v)
-        for v in values:
-            if not fn(part, m, SubmodelRef.section(m, coord, v)).passed:
-                return True
-    return False
-
-
-def _cks_quick_reject(cand: _CksCandidate, dropped: str | None) -> bool:
-    if dropped != "q-completeness":
-        if not is_complete(
-            Partition.discrete(cand.q.num_points), cand.q, SubmodelRef.full(cand.q)
-        ).passed:
-            return True
-    if dropped != "r-completeness":
-        for v in ("0", "1"):
-            sec = SubmodelRef.section(cand.r, 0, v)
-            if not is_complete(Partition.discrete(cand.r.num_points), cand.r, sec).passed:
-                return True
-    if dropped != "homogeneity":
-        from .checks import is_homogeneous
-
-        for v in ("0", "1"):
-            sec = SubmodelRef.section(cand.r, 1, v)
-            if not is_homogeneous(cand.r, sec).passed:
-                return True
-    return False
-
-
-def _grid_submodel(m: FiniteModel, coord: int, drop_value: str) -> FiniteModel:
-    keep = [i for i, lab in enumerate(m.params) if lab[coord] != drop_value]
-    return m.restrict_params(keep)
-
-
-def _axis_values(m: FiniteModel, coord: int) -> list[str]:
-    values: list[str] = []
-    for lab in m.params:
-        if lab[coord] not in values:
-            values.append(lab[coord])
-    return values
-
-
-def _minimize_two_block(cand: _TwoBlockCandidate, dropped) -> _TwoBlockCandidate:
-    changed = True
-    while changed:
-        changed = False
-        for coord in (0, 1):
-            for v in _axis_values(cand.model, coord):
-                if len(_axis_values(cand.model, coord)) <= 1:
-                    continue
-                smaller = _TwoBlockCandidate(
-                    _grid_submodel(cand.model, coord, v), cand.c1, cand.c2
-                )
-                if _is_violation(smaller.report(), dropped):
-                    cand = smaller
-                    changed = True
-                    break
-            if changed:
-                break
-    return cand
-
-
-def _minimize_cks(cand: _CksCandidate, dropped) -> _CksCandidate:
-    changed = True
-    while changed:
-        changed = False
-        for v in _axis_values(cand.r, 1):
-            if len(_axis_values(cand.r, 1)) <= 1:
-                continue
-            smaller = _CksCandidate(cand.q, _grid_submodel(cand.r, 1, v))
-            if _is_violation(smaller.report(), dropped):
-                cand = smaller
-                changed = True
-                break
-    return cand
-
-
-def hunt(
-    template: str,
-    dropped_hypothesis: str | None,
-    budget: int,
-    cfg: GenConfig,
-    *,
-    max_found: int = 1,
-) -> list[FoundInstance]:
-    """Search for instances violating a verifier template with one
-    hypothesis family dropped.
-
-    Examines up to ``budget`` random candidates; a candidate is a find
-    when every non-dropped hypothesis passes and the conclusion fails.
-    Finds are re-verified and greedily minimized before being returned.
-    An empty list is a valid outcome.
-    """
-    if template not in TEMPLATES:
-        raise ValueError(f"unknown template {template!r}; known: {TEMPLATES}")
-    if dropped_hypothesis is not None and dropped_hypothesis not in _DROPPABLE[template]:
-        raise ValueError(
-            f"cannot drop {dropped_hypothesis!r} from {template}; "
-            f"droppable: {_DROPPABLE[template]}"
-        )
-    rng = random.Random(cfg.seed)
-    found: list[FoundInstance] = []
-    for draw in range(budget):
-        if template == "two_block_grid":
-            cand = _gen_two_block_candidate(rng, cfg)
-            if _two_block_quick_reject(cand, dropped_hypothesis):
-                continue
-            report = cand.report()
-            if not _is_violation(report, dropped_hypothesis):
-                continue
-            cand = _minimize_two_block(cand, dropped_hypothesis)
-            report = cand.report()
-            found.append(
-                FoundInstance(
-                    template,
-                    dropped_hypothesis or "",
-                    {"main": cand.model},
-                    {"c1": cand.c1, "c2": cand.c2},
-                    report,
-                    draw + 1,
-                )
-            )
-        elif template == "cks":
-            ccand = _gen_cks_candidate(rng, cfg)
-            if _cks_quick_reject(ccand, dropped_hypothesis):
-                continue
-            report = ccand.report()
-            if not _is_violation(report, dropped_hypothesis):
-                continue
-            ccand = _minimize_cks(ccand, dropped_hypothesis)
-            report = ccand.report()
-            found.append(
-                FoundInstance(
-                    template,
-                    dropped_hypothesis or "",
-                    {"Q": ccand.q, "R": ccand.r, "main": cks_product(ccand.q, ccand.r)},
-                    {},
-                    report,
-                    draw + 1,
-                )
-            )
-        else:
-            inst = _gen_joint_candidate(rng, cfg)
-            report = verify_joint_completeness(inst[0], inst[1])
-            if not _is_violation(report, dropped_hypothesis):
-                continue
-            found.append(
-                FoundInstance(
-                    template,
-                    dropped_hypothesis or "",
-                    {"main": inst[0]},
-                    {f"C{i + 1}": part for i, (part, _) in enumerate(inst[1])},
-                    report,
-                    draw + 1,
-                )
-            )
-        if len(found) >= max_found:
-            break
-    return found
+    return q, r
 
 
 def _gen_joint_candidate(rng: random.Random, cfg: GenConfig):
@@ -585,3 +334,122 @@ def _gen_joint_candidate(rng: random.Random, cfg: GenConfig):
             label += 1
         family.append((part, Exhaustion(f"E{i}", tuple(pieces))))
     return m, tuple(family)
+
+
+def _smaller_grids(args: tuple, where: int, coords: tuple[int, ...]) -> Iterator[tuple]:
+    """``args`` with one axis value dropped from the grid model
+    ``args[where]``: each value of each coordinate in ``coords``, in turn."""
+    grid = args[where]
+    for coord in coords:
+        values = verify.grid_axes(grid)[coord]
+        if len(values) > 1:
+            for v in values:
+                keep = [i for i, lab in enumerate(grid.params) if lab[coord] != v]
+                yield args[:where] + (grid.restrict_params(keep),) + args[where + 1 :]
+
+
+def _shrink(
+    args: tuple, where: int, coords: tuple[int, ...], violated: Callable[[tuple], bool]
+) -> tuple:
+    """Greedy minimization: move to the first smaller grid that still
+    violates, and restart from it until none does."""
+    while True:
+        smaller = next((s for s in _smaller_grids(args, where, coords) if violated(s)), None)
+        if smaller is None:
+            return args
+        args = smaller
+
+
+class _Template(NamedTuple):
+    """One hunted verifier: ``draw`` returns its arguments, ``hypotheses``
+    declares them as data, ``verifier`` names the ``verify`` function that
+    reports a find, ``shrink`` is the grid argument's position and the
+    coordinates to shrink it along, and ``payload`` maps the arguments to
+    the find's models and partitions."""
+
+    draw: Callable[[random.Random, GenConfig], tuple]
+    hypotheses: Callable[..., verify.Hypotheses]
+    families: tuple[str, ...]
+    verifier: str
+    shrink: tuple[int, tuple[int, ...]]
+    payload: Callable[..., tuple[dict[str, FiniteModel], dict[str, Partition]]]
+
+
+_TEMPLATES = {
+    "joint_completeness": _Template(
+        _gen_joint_candidate,
+        verify.joint_completeness_hypotheses,
+        verify.JOINT_COMPLETENESS_FAMILIES,
+        "verify_joint_completeness",
+        (0, ()),
+        lambda m, family: ({"main": m}, {f"C{i + 1}": c for i, (c, _) in enumerate(family)}),
+    ),
+    "two_block_grid": _Template(
+        _gen_two_block_candidate,
+        verify.two_block_grid_hypotheses,
+        verify.TWO_BLOCK_GRID_FAMILIES,
+        "verify_two_block_grid",
+        (0, (0, 1)),
+        lambda m, c1, c2: ({"main": m}, {"c1": c1, "c2": c2}),
+    ),
+    "cks": _Template(
+        _gen_cks_candidate,
+        verify.cks_hypotheses,
+        verify.CKS_FAMILIES,
+        "verify_cks",
+        (1, (1,)),
+        lambda q, r: ({"Q": q, "R": r, "main": verify.cks_product(q, r)}, {}),
+    ),
+}
+TEMPLATES = tuple(_TEMPLATES)
+
+
+def hunt(
+    template: str,
+    dropped_hypothesis: str | None,
+    budget: int,
+    cfg: GenConfig,
+    *,
+    max_found: int = 1,
+) -> list[FoundInstance]:
+    """Search for instances violating a verifier template with one
+    hypothesis family dropped.
+
+    Examines up to ``budget`` random candidates; a candidate is a find
+    when every non-dropped hypothesis passes and the conclusion fails.
+    That predicate stops at the first failing hypothesis; a find is
+    greedily minimized under it and then gets one full verifier report.
+    An empty list is a valid outcome.  An unknown template or family, a
+    negative budget or a ``max_found`` below 1 raises ``ValueError``.
+    """
+    if template not in _TEMPLATES:
+        raise ValueError(f"unknown template {template!r}; known: {TEMPLATES}")
+    t = _TEMPLATES[template]
+    if dropped_hypothesis is not None and dropped_hypothesis not in t.families:
+        raise ValueError(
+            f"cannot drop {dropped_hypothesis!r} from {template}; droppable: {t.families}"
+        )
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, not {budget}")
+    if max_found < 1:
+        raise ValueError(f"max_found must be at least 1, not {max_found}")
+
+    def violated(args: tuple) -> bool:
+        return t.hypotheses(*args).violated(dropped_hypothesis)
+
+    rng = random.Random(cfg.seed)
+    found: list[FoundInstance] = []
+    for draw in range(budget):
+        args = t.draw(rng, cfg)
+        if not violated(args):
+            continue
+        args = _shrink(args, *t.shrink, violated)
+        # Looked up per find, so a wrapper set on the verify module sees it.
+        report = getattr(verify, t.verifier)(*args)
+        models, partitions = t.payload(*args)
+        found.append(
+            FoundInstance(template, dropped_hypothesis or "", models, partitions, report, draw + 1)
+        )
+        if len(found) >= max_found:
+            break
+    return found

@@ -151,7 +151,7 @@ def model_from_dict(doc: dict) -> ModelDocument:
     n = len(points)
     partitions = {}
     for name, ids in _labelled(doc, "partitions").items():
-        if len(ids) != n or not all(isinstance(i, int) for i in ids):
+        if len(ids) != n or not all(type(i) is int for i in ids):
             raise InputError(f"partition {name!r} must be a point-indexed list of ints")
         partitions[name] = Partition(tuple(ids))
     functions = {}
@@ -166,7 +166,7 @@ def model_from_dict(doc: dict) -> ModelDocument:
             if not isinstance(piece, dict) or "label" not in piece or "params" not in piece:
                 raise InputError(f"exhaustion {name!r} pieces need 'label' and 'params'")
             idx = piece["params"]
-            if not isinstance(idx, list) or not all(isinstance(i, int) and 0 <= i < len(params) for i in idx):
+            if not isinstance(idx, list) or not all(type(i) is int and 0 <= i < len(params) for i in idx):
                 raise InputError(f"exhaustion {name!r} has out-of-range parameter indices")
             if not idx or len(set(idx)) != len(idx):
                 raise InputError(f"exhaustion {name!r} pieces need distinct parameter indices")
@@ -176,7 +176,7 @@ def model_from_dict(doc: dict) -> ModelDocument:
     for name, lists in _labelled(doc, "events").items():
         parsed_events = []
         for e in lists:
-            if not isinstance(e, list) or not all(isinstance(i, int) and 0 <= i < n for i in e):
+            if not isinstance(e, list) or not all(type(i) is int and 0 <= i < n for i in e):
                 raise InputError(f"event list {name!r} must hold lists of in-range point indices")
             parsed_events.append(frozenset(e))
         events[name] = parsed_events

@@ -12,7 +12,8 @@ producing it as a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .checks import (
     is_ancillary,
@@ -40,6 +41,44 @@ from .optimal import is_optimal_unbiased
 from .reports import VERDICT_FAIL, VERDICT_PASS, CheckReport, TheoremReport, combine_reports
 
 INTEGRABILITY_NOTE = "vacuous on a finite sample space: every function is integrable"
+INTEGRABILITY = CheckReport("integrability", VERDICT_PASS, None, (INTEGRABILITY_NOTE,))
+
+Check = Callable[[], CheckReport]
+Entry = tuple[str, str, Check]
+
+
+@dataclass(frozen=True)
+class Hypotheses:
+    """A theorem instance as data: each hypothesis is a lazy ``(family,
+    label, check)`` entry, and the conclusion a lazy check.
+
+    ``families`` lists the droppable families in the order the hunt checks
+    them.  An entry whose family is not listed is never dropped.
+    """
+
+    theorem: str
+    families: tuple[str, ...]
+    entries: tuple[Entry, ...]
+    conclusion: Check
+
+    def report(self) -> TheoremReport:
+        """Every hypothesis in declaration order, then the conclusion."""
+        hyps = tuple((label, check()) for _, label, check in self.entries)
+        return TheoremReport(self.theorem, hyps, self.conclusion())
+
+    def violated(self, dropped: str | None) -> bool:
+        """Whether every hypothesis outside the ``dropped`` family passes
+        while the conclusion fails.  Unlike :meth:`report` this stops at
+        the first failure: it checks the droppable families one by one in
+        ``families`` order, then the entries of no droppable family, and
+        the conclusion last."""
+        for family in self.families:
+            if family != dropped and not all(
+                check().passed for f, _, check in self.entries if f == family
+            ):
+                return False
+        fixed = (check for f, _, check in self.entries if f not in self.families)
+        return all(check().passed for check in fixed) and self.conclusion().failed
 
 
 @dataclass(frozen=True)
@@ -78,7 +117,7 @@ class Exhaustion:
             raise ExhaustionError(f"exhaustion {self.label!r} does not cover the model")
 
 
-def _grid_axes(m: FiniteModel) -> tuple[list[str], list[str]]:
+def grid_axes(m: FiniteModel) -> tuple[list[str], list[str]]:
     """Axis values of a two-coordinate parameter grid, checked exhaustively."""
     axis1: list[str] = []
     axis2: list[str] = []
@@ -96,34 +135,75 @@ def _grid_axes(m: FiniteModel) -> tuple[list[str], list[str]]:
     return axis1, axis2
 
 
+def _sectioned(
+    check: Callable[..., CheckReport], m: FiniteModel, coord: int, v: str, *parts
+) -> Check:
+    """``check(*parts, m, section)``, building the section of ``m`` at
+    ``coord == v`` only when the check runs."""
+    return lambda: check(*parts, m, SubmodelRef.section(m, coord, v))
+
+
+def _discretely_complete(m: FiniteModel) -> CheckReport:
+    return is_complete(Partition.discrete(m.num_points), m, SubmodelRef.full(m))
+
+
+JOINT_COMPLETENESS_FAMILIES = ("completeness", "sufficiency")
+
+
+def joint_completeness_hypotheses(
+    m: FiniteModel, family: Sequence[tuple[Partition, Exhaustion]]
+) -> Hypotheses:
+    """The hypotheses and conclusion of :func:`verify_joint_completeness`."""
+    entries: list[Entry] = []
+    joined: Partition | None = None
+    for i, (part, exh) in enumerate(family):
+        exh.validate(m)
+        joined = part if joined is None else join(joined, part)
+        for eta, piece in exh.pieces:
+            at = f"[{exh.label}={eta}]"
+            entries += [
+                ("completeness", f"C{i + 1} complete{at}", partial(is_complete, part, m, piece)),
+                ("sufficiency", f"C{i + 1} sufficient{at}", partial(is_sufficient, part, m, piece)),
+            ]
+    if joined is None:
+        raise ExhaustionError("family must contain at least one partition")
+    conclusion = partial(is_complete, joined, m, SubmodelRef.full(m))
+    return Hypotheses("joint-completeness", JOINT_COMPLETENESS_FAMILIES, tuple(entries), conclusion)
+
+
 def verify_joint_completeness(
     m: FiniteModel, family: Sequence[tuple[Partition, Exhaustion]]
 ) -> TheoremReport:
     """Joint completeness from partial complete sufficiency: when each
     partition is complete sufficient for every piece of its exhaustion,
     the join of all partitions is complete for the whole model."""
-    hyps: list[tuple[str, CheckReport]] = []
-    joined: Partition | None = None
-    for i, (part, exh) in enumerate(family):
-        exh.validate(m)
-        joined = part if joined is None else join(joined, part)
-        for eta, piece in exh.pieces:
-            hyps.append(
-                (
-                    f"C{i + 1} complete[{exh.label}={eta}]",
-                    is_complete(part, m, piece),
-                )
-            )
-            hyps.append(
-                (
-                    f"C{i + 1} sufficient[{exh.label}={eta}]",
-                    is_sufficient(part, m, piece),
-                )
-            )
-    if joined is None:
-        raise ExhaustionError("family must contain at least one partition")
-    conclusion = is_complete(joined, m, SubmodelRef.full(m))
-    return TheoremReport("joint-completeness", tuple(hyps), conclusion)
+    return joint_completeness_hypotheses(m, family).report()
+
+
+TWO_BLOCK_GRID_FAMILIES = (
+    "c1-sufficiency", "c1-completeness", "c2-sufficiency", "c2-completeness"
+)
+
+
+def two_block_grid_hypotheses(m: FiniteModel, c1: Partition, c2: Partition) -> Hypotheses:
+    """The hypotheses and conclusion of :func:`verify_two_block_grid`."""
+    axis1, axis2 = grid_axes(m)
+    entries: list[Entry] = []
+    for v in axis2:
+        entries += [
+            ("c1-completeness", f"c1-complete[axis2={v}]", _sectioned(is_complete, m, 1, v, c1)),
+            ("c1-sufficiency", f"c1-sufficient[axis2={v}]", _sectioned(is_sufficient, m, 1, v, c1)),
+        ]
+    for v in axis1:
+        entries += [
+            ("c2-completeness", f"c2-complete[axis1={v}]", _sectioned(is_complete, m, 0, v, c2)),
+            ("c2-sufficiency", f"c2-sufficient[axis1={v}]", _sectioned(is_sufficient, m, 0, v, c2)),
+        ]
+
+    def conclusion() -> CheckReport:
+        return is_complete(join(c1, c2), m, SubmodelRef.full(m))
+
+    return Hypotheses("two-block-grid", TWO_BLOCK_GRID_FAMILIES, tuple(entries), conclusion)
 
 
 def verify_two_block_grid(m: FiniteModel, c1: Partition, c2: Partition) -> TheoremReport:
@@ -132,24 +212,13 @@ def verify_two_block_grid(m: FiniteModel, c1: Partition, c2: Partition) -> Theor
     partition along one axis and of the second along the other forces the
     join to be complete.  (Sufficiency of the join is not part of the
     conclusion and can genuinely fail.)"""
-    axis1, axis2 = _grid_axes(m)
-    hyps: list[tuple[str, CheckReport]] = []
-    for v in axis2:
-        sec = SubmodelRef.section(m, 1, v)
-        hyps.append((f"c1-complete[axis2={v}]", is_complete(c1, m, sec)))
-        hyps.append((f"c1-sufficient[axis2={v}]", is_sufficient(c1, m, sec)))
-    for v in axis1:
-        sec = SubmodelRef.section(m, 0, v)
-        hyps.append((f"c2-complete[axis1={v}]", is_complete(c2, m, sec)))
-        hyps.append((f"c2-sufficient[axis1={v}]", is_sufficient(c2, m, sec)))
-    conclusion = is_complete(join(c1, c2), m, SubmodelRef.full(m))
-    return TheoremReport("two-block-grid", tuple(hyps), conclusion)
+    return two_block_grid_hypotheses(m, c1, c2).report()
 
 
 def cks_product(q: FiniteModel, r: FiniteModel) -> FiniteModel:
     """The coupled product {Q_a (x) R_(a,b)} of a first-coordinate family
     and a grid-indexed second-coordinate family."""
-    axis1, _ = _grid_axes(r)
+    axis1, _ = grid_axes(r)
     q_labels = [flatten_label(lab)[0] for lab in q.params]
     if q_labels != axis1:
         raise GridError("first grid axis must list the first family's parameters")
@@ -161,38 +230,37 @@ def cks_product(q: FiniteModel, r: FiniteModel) -> FiniteModel:
     return FiniteModel(points, r.params, tuple(rows))
 
 
+# The integrability entry always passes, so no droppable family tags it.
+CKS_FAMILIES = ("q-completeness", "r-completeness", "homogeneity")
+
+
+def cks_hypotheses(q: FiniteModel, r: FiniteModel) -> Hypotheses:
+    """The hypotheses and conclusion of :func:`verify_cks`; the coupled
+    product is built only when the conclusion is checked."""
+    axis1, axis2 = grid_axes(r)
+    discrete = Partition.discrete(r.num_points)
+    entries: list[Entry] = [
+        ("q-completeness", "first-family-complete", partial(_discretely_complete, q))
+    ]
+    for v in axis1:
+        check = _sectioned(is_complete, r, 0, v, discrete)
+        entries.append(("r-completeness", f"second-family-complete[axis1={v}]", check))
+    for v in axis2:
+        check = _sectioned(is_homogeneous, r, 1, v)
+        entries.append(("homogeneity", f"second-family-homogeneous[axis2={v}]", check))
+    entries.append(("integrability", "integrability", lambda: INTEGRABILITY))
+    return Hypotheses(
+        "cks", CKS_FAMILIES, tuple(entries), lambda: _discretely_complete(cks_product(q, r))
+    )
+
+
 def verify_cks(q: FiniteModel, r: FiniteModel) -> TheoremReport:
     """Cramer-Kamps-Schenk completeness of a coupled product: completeness
     of the first family, per-first-coordinate completeness of the second,
     and per-second-coordinate homogeneity of the second yield completeness
     of the coupled product.  The integrability hypothesis of the general
     statement is vacuous on finite spaces and recorded as such."""
-    axis1, axis2 = _grid_axes(r)
-    product = cks_product(q, r)
-    hyps: list[tuple[str, CheckReport]] = [
-        (
-            "first-family-complete",
-            is_complete(Partition.discrete(q.num_points), q, SubmodelRef.full(q)),
-        )
-    ]
-    for v in axis1:
-        sec = SubmodelRef.section(r, 0, v)
-        hyps.append(
-            (
-                f"second-family-complete[axis1={v}]",
-                is_complete(Partition.discrete(r.num_points), r, sec),
-            )
-        )
-    for v in axis2:
-        sec = SubmodelRef.section(r, 1, v)
-        hyps.append((f"second-family-homogeneous[axis2={v}]", is_homogeneous(r, sec)))
-    hyps.append(
-        ("integrability", CheckReport("integrability", VERDICT_PASS, None, (INTEGRABILITY_NOTE,)))
-    )
-    conclusion = is_complete(
-        Partition.discrete(product.num_points), product, SubmodelRef.full(product)
-    )
-    return TheoremReport("cks", tuple(hyps), conclusion)
+    return cks_hypotheses(q, r).report()
 
 
 def _marginal_support_report(m: FiniteModel, c: Partition, sub: SubmodelRef) -> CheckReport:
@@ -219,7 +287,7 @@ def verify_cks_rewrite(m: FiniteModel, c1: Partition, c2: Partition) -> TheoremR
     of the first plus complete sufficiency of the second; per-axis2
     homogeneity of the model restricted to the second partition.  The
     conclusion is completeness of the join."""
-    axis1, axis2 = _grid_axes(m)
+    axis1, axis2 = grid_axes(m)
     hyps: list[tuple[str, CheckReport]] = []
     for v in axis2:
         sec = SubmodelRef.section(m, 1, v)
@@ -240,9 +308,7 @@ def verify_cks_rewrite(m: FiniteModel, c1: Partition, c2: Partition) -> TheoremR
         hyps.append(
             (f"c2-marginal-homogeneous[axis2={v}]", _marginal_support_report(m, c2, sec))
         )
-    hyps.append(
-        ("integrability", CheckReport("integrability", VERDICT_PASS, None, (INTEGRABILITY_NOTE,)))
-    )
+    hyps.append(("integrability", INTEGRABILITY))
     conclusion = is_complete(join(c1, c2), m, SubmodelRef.full(m))
     return TheoremReport("cks-rewrite", tuple(hyps), conclusion)
 

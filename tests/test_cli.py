@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fincomplete as fc
-from fincomplete import linalg
+from fincomplete import linalg, verify
 from fincomplete.cli import PROPERTIES, run
 from fincomplete.errors import CertificateError
+from fincomplete.search import TEMPLATES
 from fincomplete.serialization import dumps, load_model_file, model_to_dict, save_model_file
 
 REGISTRY = os.path.join(os.path.dirname(__file__), "..", "registry")
@@ -154,6 +155,15 @@ class TestExitCodes:
         assert code == 3
         assert "Traceback" not in err and "error:" in err
 
+    @pytest.mark.parametrize(
+        "limits", [("--budget", "-5", "--max-found", "1"), ("--budget", "3", "--max-found", "0")]
+    )
+    def test_search_budget_or_max_found_out_of_range_is_three(self, limits):
+        code, out, err = invoke_process("--json", "search", "--template", "cks", "--seed", "1", *limits)
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err and "error:" in err
+
     def test_rational_over_int_digit_limit_is_three(self, tmp_path):
         with open(reg("ce55.model"), encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -176,11 +186,15 @@ class TestExitCodes:
             ("ce55.model", "partitions", [[0, 1]]),
             ("ce55.model", "functions", [["1", "2"]]),
             ("ce53_q.model", "params", "t0"),
+            ("ce55.model", "partitions", {"B": [True, False, True]}),
+            ("ce55.model", "exhaustions", {"X": [{"label": "a", "params": [True]}]}),
+            ("ce55.model", "events", {"E": [[True, False]]}),
         ],
         ids=[
             "event-list-int", "event-int", "exhaustion-int", "piece-params-int",
             "piece-params-empty", "piece-params-repeated", "partitions-list",
-            "functions-list", "params-string",
+            "functions-list", "params-string", "partition-bool", "piece-params-bool",
+            "event-bool",
         ],
     )
     def test_malformed_document_shape_is_three(self, tmp_path, base, field, value):
@@ -502,6 +516,10 @@ JUNK = st.sampled_from((
 MASSES = st.sampled_from(("0", "1", "1/2", "-1/2", "2/3", "1/0", "0.5"))
 SUBS = ("all", "all", "params=0", "params=1,0", "theta1=1", "theta2=2", "params=0,0", "params=9", "bogus")
 ARGV_JUNK = ("--bogus", "", "--sub", "--model", "check", "--partition")
+# every template's droppable families, so most drops are foreign to the template
+DROPS = (
+    verify.JOINT_COMPLETENESS_FAMILIES + verify.TWO_BLOCK_GRID_FAMILIES + verify.CKS_FAMILIES
+)
 
 
 @st.composite
@@ -511,7 +529,10 @@ def fuzz_cases(draw):
     mass, to another rational string or junk), or (for a list such as a
     prob row or a partition) lengthened or shortened; and the argv of one
     command on it, sometimes with a token dropped or a junk token added.
-    The model path in the argv is the placeholder MODEL."""
+    The command may also be a `search` that ignores the document, with a
+    valid, foreign or bogus template and drop and a budget and max-found
+    around their lower limits.  The model path in the argv is the
+    placeholder MODEL."""
     name = draw(st.sampled_from(sorted(REGISTRY_DOCS)))
     doc = json.loads(REGISTRY_DOCS[name])
     partitions = sorted(doc.get("partitions", {}))
@@ -535,10 +556,19 @@ def fuzz_cases(draw):
         else:
             parent[key] = draw(MASSES if isinstance(node, str) else JUNK)
 
-    command = draw(st.sampled_from(("check", "minimal", "optimal-sigma", "validate")))
+    command = draw(st.sampled_from(("check", "minimal", "optimal-sigma", "validate", "search")))
     argv = ["--json"] if draw(st.booleans()) else []
-    argv += [command, "--model", "MODEL"]
-    if command != "validate" and draw(st.booleans()):
+    if command == "search":
+        argv += [command, "--template", draw(st.sampled_from(TEMPLATES + ("bogus",)))]
+        argv += ["--seed", str(draw(st.integers(min_value=0, max_value=9)))]
+        argv += ["--budget", str(draw(st.integers(min_value=-2, max_value=20)))]
+        if draw(st.booleans()):
+            argv += ["--drop", draw(st.sampled_from(DROPS + ("bogus",)))]
+        if draw(st.booleans()):
+            argv += ["--max-found", str(draw(st.integers(min_value=-1, max_value=3)))]
+    else:
+        argv += [command, "--model", "MODEL"]
+    if command not in ("validate", "search") and draw(st.booleans()):
         argv += ["--sub", draw(st.sampled_from(SUBS))]
     if command == "check":
         prop = draw(st.sampled_from(PROPERTIES + ("bogus",)))
