@@ -10,6 +10,7 @@ from .checks import (
     is_ancillary,
     is_boundedly_complete,
     is_complete,
+    is_complete_sufficient,
     is_homogeneous,
     is_minimal_sufficient,
     is_sufficient,

@@ -9,6 +9,10 @@ nontrivial kernel vector, lifted to a block-constant function, is a
 certificate of incompleteness (its expectations vanish yet it is nonzero on
 the support union).
 
+Block masses are integer rows, built once per call: each member's row is
+scaled to integers and its block masses summed in ``int``, which keeps
+rank, kernel and every cross-multiplication.
+
 All witnesses are minimal in a fixed scan order (first failing block, then
 point, then parameter pair), so reports are reproducible byte for byte.
 """
@@ -35,16 +39,40 @@ FINITE_BOUNDED_NOTE = (
 )
 
 
-def _support_blocks(c: Partition, su: frozenset[int]) -> list[int]:
-    """Block ids of c meeting the support union, in canonical block order."""
-    hit = {c.block_id[x] for x in su}
-    return [b for b in range(c.num_blocks) if b in hit]
+def _block_masses(c: Partition, m: FiniteModel, sub: SubmodelRef):
+    """Per submodel member, in submodel order: the positive integer ``s``
+    its row is scaled by and the scaled row; then the live blocks (nonzero
+    mass: on nonnegative masses, the blocks meeting the support union) and
+    each member's scaled live block masses, summed in ``int``.  Each mass
+    is the true mass times ``s``, which changes no rank, kernel or
+    cross-multiplication."""
+    sub.validate(m)
+    if c.size != m.num_points:
+        raise ValueError(f"partition has {c.size} points, the model {m.num_points}")
+    scales, points = zip(*(linalg.scale_to_integers(m.prob[i]) for i in sub.param_indices))
+    sums = []
+    for ints in points:
+        masses = [0] * c.num_blocks
+        for b, v in zip(c.block_id, ints):
+            masses[b] += v
+        sums.append(masses)
+    live = [b for b, column in enumerate(zip(*sums)) if any(column)]
+    return scales, points, live, [[row[b] for b in live] for row in sums]
 
 
-def _lift_block_vector(c: Partition, live: list[int], vec) -> RationalFunction:
+def _complete(c: Partition, live: list[int], rows: list[list[int]]) -> CheckReport:
+    rank = linalg.fraction_free_rank(rows) if live else 0
+    notes = (f"support blocks: {len(live)}", f"rank: {rank}")
+    if rank == len(live):
+        return CheckReport("complete", VERDICT_PASS, None, notes)
+    vec = linalg.first_kernel_vector(rows, len(live))
+    if vec is None or len(vec) != len(live) or not any(vec) or any(
+        sum(a * v for a, v in zip(row, vec) if v) for row in rows
+    ):
+        raise CertificateError("incompleteness witness failed its exact re-check (M v = 0, v != 0)")
     by_block = dict(zip(live, vec))
-    zero = Fraction(0)
-    return RationalFunction(tuple(by_block.get(b, zero) for b in c.block_id))
+    witness = RationalFunction(tuple(by_block.get(b, Fraction(0)) for b in c.block_id))
+    return CheckReport("complete", VERDICT_FAIL, {"function": witness}, notes)
 
 
 def is_complete(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
@@ -56,29 +84,32 @@ def is_complete(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
     re-checked exactly (M v = 0, v != 0) before it is returned, and a
     vector failing that raises ``CertificateError`` instead.
     """
-    sub.validate(m)
-    su = support_union(m, sub)
-    live = _support_blocks(c, su)
-    blocks = c.blocks()
-    rows = [
-        tuple(m.event_mass(i, blocks[b]) for b in live) for i in sub.param_indices
-    ]
-    rank = linalg.fraction_free_rank(rows) if live else 0
-    notes = (f"support blocks: {len(live)}", f"rank: {rank}")
-    if rank == len(live):
-        return CheckReport("complete", VERDICT_PASS, None, notes)
-    vec = linalg.first_kernel_vector(rows, len(live))
-    if vec is None or len(vec) != len(live) or not any(vec) or any(
-        sum(a * v for a, v in zip(row, vec) if v) for row in rows
-    ):
-        raise CertificateError("incompleteness witness failed its exact re-check (M v = 0, v != 0)")
-    witness = _lift_block_vector(c, live, vec)
-    return CheckReport("complete", VERDICT_FAIL, {"function": witness}, notes)
+    _, _, live, rows = _block_masses(c, m, sub)
+    return _complete(c, live, rows)
 
 
 def is_boundedly_complete(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
     rep = is_complete(c, m, sub)
     return CheckReport("boundedly-complete", rep.verdict, rep.witness, rep.notes + (FINITE_BOUNDED_NOTE,))
+
+
+def _sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef, points, live, rows) -> CheckReport:
+    blocks, idx = c.blocks(), sub.param_indices
+    for k, b in enumerate(live):
+        positive = [(i, row[k]) for i, row in enumerate(rows) if row[k] > 0]
+        if not positive:
+            continue
+        i, ti = positive[0]
+        for j, tj in positive[1:]:
+            for x in blocks[b]:
+                if points[i][x] * tj != points[j][x] * ti:
+                    witness = {
+                        "point": m.points[x],
+                        "block": tuple(m.points[y] for y in blocks[b]),
+                        "params": (m.params[idx[i]], m.params[idx[j]]),
+                    }
+                    return CheckReport("sufficient", VERDICT_FAIL, witness, ())
+    return CheckReport("sufficient", VERDICT_PASS, None, ())
 
 
 def is_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
@@ -91,22 +122,17 @@ def is_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport
     fail the witness names the first offending (point, block, parameter
     pair), the same one an all-pairs scan finds first.
     """
-    sub.validate(m)
-    for block in c.blocks():
-        positive = [(i, t) for i in sub.param_indices if (t := m.event_mass(i, block)) > 0]
-        if not positive:
-            continue
-        i, ti = positive[0]
-        for j, tj in positive[1:]:
-            for x in block:
-                if m.prob[i][x] * tj != m.prob[j][x] * ti:
-                    witness = {
-                        "point": m.points[x],
-                        "block": tuple(m.points[y] for y in block),
-                        "params": (m.params[i], m.params[j]),
-                    }
-                    return CheckReport("sufficient", VERDICT_FAIL, witness, ())
-    return CheckReport("sufficient", VERDICT_PASS, None, ())
+    _, points, live, rows = _block_masses(c, m, sub)
+    return _sufficient(c, m, sub, points, live, rows)
+
+
+def is_complete_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
+    """Completeness and sufficiency, combined as "complete-sufficient",
+    from one set of block masses."""
+    _, points, live, rows = _block_masses(c, m, sub)
+    return combine_reports(
+        "complete-sufficient", _complete(c, live, rows), _sufficient(c, m, sub, points, live, rows)
+    )
 
 
 def _ray_key(column) -> tuple[int, ...] | str:
@@ -237,10 +263,11 @@ def basu_consistency(
     """Basu's theorem as a consistency check: when the first partition is
     complete sufficient and the second ancillary, the two must be
     independent.  When the hypotheses fail the verdict is vacuous."""
+    _, points, live, rows = _block_masses(c_cs, m, sub)
     hyp = combine_reports(
         "basu-hypotheses",
-        is_complete(c_cs, m, sub),
-        is_sufficient(c_cs, m, sub),
+        _complete(c_cs, live, rows),
+        _sufficient(c_cs, m, sub, points, live, rows),
         is_ancillary(c_anc, m, sub),
     )
     if hyp.failed:

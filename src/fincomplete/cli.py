@@ -39,6 +39,9 @@ from .model import (
     Partition,
     downray_events,
     interval_events,
+    max_partition,
+    min_max_partition,
+    min_partition,
     parse_submodel,
     power_model,
     product_model,
@@ -121,6 +124,15 @@ EVENT_KINDS = {
     "downrays": downray_events,
 }
 
+# partitions of the n-fold power space that ``verify unknown-truncation``
+# accepts by name, as functions of (base model, n)
+POWER_PARTITIONS = {
+    "trivial": lambda m0, n: Partition.trivial(m0.num_points**n),
+    "min": min_partition,
+    "max": max_partition,
+    "min-max": min_max_partition,
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as input errors (exit 3)."""
@@ -170,7 +182,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--r-model", help="second-family model file (cks)")
     p.add_argument("--c1")
     p.add_argument("--c2")
-    p.add_argument("--partition", action="append", default=[])
+    p.add_argument("--partition", action="append", default=[], help="unknown-truncation also takes " + "|".join(POWER_PARTITIONS))
     p.add_argument("--exhaustion", action="append", default=[])
     p.add_argument("--function")
     p.add_argument("--events", help="named event list, or intervals/uprays/downrays")
@@ -381,12 +393,16 @@ def _cmd_verify(args) -> int:
             if not args.events or not args.partition:
                 raise InputError("unknown-truncation requires --events and one --partition")
             powered = power_model(m, args.n)
-            pdoc_part = doc.partitions.get(args.partition[0])
-            if pdoc_part is None or pdoc_part.size != powered.num_points:
-                raise InputError(
-                    "--partition must name a partition of the n-fold power space"
-                )
-            report = verify_unknown_truncation(m, pdoc_part, _event_list(doc, args.events), args.n)
+            name = args.partition[0]
+            c = doc.partitions.get(name)
+            if c is None or c.size != powered.num_points:
+                if name not in POWER_PARTITIONS:
+                    raise InputError(
+                        "--partition must name a partition of the n-fold power space or one of "
+                        + ", ".join(POWER_PARTITIONS)
+                    )
+                c = POWER_PARTITIONS[name](m, args.n)
+            report = verify_unknown_truncation(m, c, _event_list(doc, args.events), args.n)
         elif theorem == "smith":
             if args.mode not in ("a", "b"):
                 raise InputError("smith requires --mode a or b")

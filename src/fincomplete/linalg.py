@@ -20,10 +20,15 @@ from math import gcd, lcm
 Vector = tuple[Fraction, ...]
 
 
+def scale_to_integers(row) -> tuple[int, list[int]]:
+    """The lcm ``s`` of a rational row's denominators, and the row times ``s``."""
+    mult = lcm(*(f.denominator for f in row)) if row else 1
+    return mult, [f.numerator * (mult // f.denominator) for f in row]
+
+
 def clear_denominators(row) -> list[int]:
     """Scale a rational row to integers (does not change rank or kernel)."""
-    mult = lcm(*(f.denominator for f in row)) if row else 1
-    return [f.numerator * (mult // f.denominator) for f in row]
+    return scale_to_integers(row)[1]
 
 
 def _eliminate(rows, reduce: bool = False) -> tuple[list[list[int]], list[int], int]:

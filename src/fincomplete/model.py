@@ -75,14 +75,6 @@ class FiniteModel:
     params: tuple  # of str | tuple[str, ...]
     prob: tuple[tuple[Fraction, ...], ...]
 
-    @staticmethod
-    def from_rows(points: Sequence[str], params: Sequence, rows) -> "FiniteModel":
-        return FiniteModel(
-            points=tuple(points),
-            params=tuple(tuple(p) if isinstance(p, (tuple, list)) else p for p in params),
-            prob=tuple(tuple(_as_fraction(x) for x in row) for row in rows),
-        )
-
     @property
     def num_points(self) -> int:
         return len(self.points)
@@ -224,18 +216,6 @@ class Partition:
     @staticmethod
     def discrete(n: int) -> "Partition":
         return Partition(tuple(range(n)))
-
-    @staticmethod
-    def from_blocks(blocks: Iterable[Iterable[int]], n: int) -> "Partition":
-        ids = [-1] * n
-        for b, block in enumerate(blocks):
-            for x in block:
-                if ids[x] != -1:
-                    raise ValueError(f"point {x} assigned to two blocks")
-                ids[x] = b
-        if any(i == -1 for i in ids):
-            raise ValueError("blocks do not cover all points")
-        return Partition(tuple(ids))
 
     @property
     def size(self) -> int:
@@ -441,16 +421,12 @@ def power_model(a: FiniteModel, n: int, *, size_guard: int | None = None) -> Fin
     guard = resolve_size_guard(size_guard)
     if a.num_points**n > guard:
         raise SizeGuardError(f"{a.num_points}^{n} points exceeds the guard of {guard}")
-    tuples = list(itertools.product(range(a.num_points), repeat=n))
-    points = tuple("(" + ",".join(a.points[i] for i in t) + ")" for t in tuples)
+    points = tuple("(" + ",".join(a.points[i] for i in t) + ")" for t in power_tuples(a, n))
     prob = []
     for row in a.prob:
-        out = []
-        for t in tuples:
-            p = Fraction(1)
-            for i in t:
-                p *= row[i]
-            out.append(p)
+        out = [Fraction(1)]
+        for _ in range(n):  # appending a coordinate that varies fastest
+            out = [p * q for p in out for q in row]
         prob.append(tuple(out))
     return FiniteModel(points, a.params, tuple(prob))
 
@@ -527,25 +503,26 @@ def truncated_family(
                 f"{event_label(m0, evs[j])}"
             )
     powered = power_model(m0, n, size_guard=size_guard)
-    tuples = power_tuples(m0, n)
+    # masks[k][t]: whether power point t lies in evs[k]^n, in power point order
+    masks = [
+        [all(bits) for bits in itertools.product([x in e for x in range(m0.num_points)], repeat=n)]
+        for e in evs
+    ]
+    zero = Fraction(0)
     params = []
     rows = []
-    for i, base_row in enumerate(m0.prob):
-        for e in evs:
+    for i, powered_row in enumerate(powered.prob):
+        for e, mask in zip(evs, masks):
             emass = m0.event_mass(i, e)
             if emass == 0:
                 continue
             scale = emass**n
-            row = []
-            for t, p in zip(tuples, powered.prob[i]):
-                row.append(p / scale if all(x in e for x in t) else Fraction(0))
+            rows.append(tuple(p / scale if inside else zero for p, inside in zip(powered_row, mask)))
             params.append(combine_labels(m0.params[i], event_label(m0, e)))
-            rows.append(tuple(row))
     if not rows:
         raise WeightError("no event has positive mass under any parameter")
     model = FiniteModel(powered.points, tuple(params), tuple(rows))
-    signatures = [tuple(all(x in e for x in t) for e in evs) for t in tuples]
-    return model, partition_from_statistic(signatures)
+    return model, partition_from_statistic(list(zip(*masks)))
 
 
 def interval_events(n: int) -> list[frozenset[int]]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .checks import is_sufficient
+from .checks import _block_masses, is_sufficient
 from .errors import CertificateError, ExhaustionError, NotSufficientError
 from .model import (
     FiniteModel,
@@ -176,16 +176,10 @@ def umvue(
     blocks of the optimal partition; blocks of total mass zero get the
     value 0.
     """
-    sub.validate(m)
     part = optimal_sigma_algebra(m, sub)
-    su = support_union(m, sub)
-    blocks = part.blocks()
-    live = [b for b in range(len(blocks)) if any(x in su for x in blocks[b])]
-    rows = [
-        tuple(m.event_mass(i, blocks[b]) for b in live) for i in sub.param_indices
-    ]
+    scales, _, live, rows = _block_masses(part, m, sub)
     rhs = [estimand.values[i] for i in sub.param_indices]
-    sol = linalg.solve(rows, rhs)
+    sol = linalg.solve(rows, [v * s for v, s in zip(rhs, scales)])
     if sol is None:
         estimable = linalg.solve(_expectation_rows(m, sub), rhs) is not None
         note = (
@@ -196,7 +190,7 @@ def umvue(
         return UmvueResult(None, part, None, note)
     by_block = dict(zip(live, sol))
     zero = Fraction(0)
-    atom_values = tuple(by_block.get(b, zero) for b in range(len(blocks)))
+    atom_values = tuple(by_block.get(b, zero) for b in range(part.num_blocks))
     values = tuple(atom_values[b] for b in part.block_id)
     return UmvueResult(
         RationalFunction(values), part, atom_values, "unique up to null sets"

@@ -123,12 +123,6 @@ def random_model(cfg: GenConfig) -> FiniteModel:
     return _draw_model(random.Random(cfg.seed), cfg)
 
 
-def random_models(cfg: GenConfig, count: int) -> Iterator[FiniteModel]:
-    rng = random.Random(cfg.seed)
-    for _ in range(count):
-        yield _draw_model(rng, cfg)
-
-
 def _complete_factor(rng: random.Random, cfg: GenConfig, n_points: int) -> FiniteModel:
     """A small full-support model that is complete (checked, not assumed).
 

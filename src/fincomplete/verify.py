@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 from .checks import (
     is_ancillary,
     is_complete,
+    is_complete_sufficient,
     is_homogeneous,
     is_minimal_sufficient,
     is_sufficient,
@@ -38,7 +39,7 @@ from .model import (
     weighted_model,
 )
 from .optimal import is_optimal_unbiased
-from .reports import VERDICT_FAIL, VERDICT_PASS, CheckReport, TheoremReport, combine_reports
+from .reports import VERDICT_FAIL, VERDICT_PASS, CheckReport, TheoremReport
 
 INTEGRABILITY_NOTE = "vacuous on a finite sample space: every function is integrable"
 INTEGRABILITY = CheckReport("integrability", VERDICT_PASS, None, (INTEGRABILITY_NOTE,))
@@ -298,9 +299,7 @@ def verify_cks_rewrite(m: FiniteModel, c1: Partition, c2: Partition) -> TheoremR
         hyps.append(
             (
                 f"c2-complete-sufficient[axis1={v}]",
-                combine_reports(
-                    "complete-sufficient", is_complete(c2, m, sec), is_sufficient(c2, m, sec)
-                ),
+                is_complete_sufficient(c2, m, sec),
             )
         )
     for v in axis2:
@@ -349,11 +348,7 @@ def verify_homogeneous_connected(
             return is_sufficient(part, m, piece)
         if mode == "minimal":
             return is_minimal_sufficient(part, m, piece)
-        return combine_reports(
-            "complete-sufficient",
-            is_complete(part, m, piece),
-            is_sufficient(part, m, piece),
-        )
+        return is_complete_sufficient(part, m, piece)
 
     hyps: list[tuple[str, CheckReport]] = [
         ("homogeneous", is_homogeneous(m, SubmodelRef.full(m))),
@@ -385,9 +380,7 @@ def verify_homogeneous_connected(
     elif mode == "minimal":
         conclusion = is_minimal_sufficient(joined, m, full)
     else:
-        conclusion = combine_reports(
-            "complete-sufficient", is_complete(joined, m, full), is_sufficient(joined, m, full)
-        )
+        conclusion = is_complete_sufficient(joined, m, full)
     return TheoremReport(f"homogeneous-connected[{mode}]", tuple(hyps), conclusion)
 
 
@@ -402,17 +395,22 @@ def _stability_report(m0: FiniteModel, events) -> CheckReport:
 
 
 def verify_truncation_family(m0: FiniteModel, events, n: int) -> TheoremReport:
-    """For an intersection-stable event list, the sigma-algebra generated
-    by the event powers is sufficient and complete for the family of
-    event-conditioned i.i.d. powers."""
-    hyps = [("events-intersection-stable", _stability_report(m0, events))]
+    """For one base distribution and an intersection-stable event list,
+    the sigma-algebra generated by the event powers is sufficient and
+    complete for the family of event-conditioned i.i.d. powers.
+
+    "One distribution" is checked as the trivial partition being complete
+    sufficient for the base model, which holds exactly when all base rows
+    are equal, and so exactly when it holds for the n-fold power."""
+    hyps = [
+        ("events-intersection-stable", _stability_report(m0, events)),
+        (
+            "base-single-distribution",
+            is_complete_sufficient(Partition.trivial(m0.num_points), m0, SubmodelRef.full(m0)),
+        ),
+    ]
     model, sig = truncated_family(m0, events, n, require_stable=False)
-    full = SubmodelRef.full(model)
-    conclusion = combine_reports(
-        "complete-sufficient",
-        is_complete(sig, model, full),
-        is_sufficient(sig, model, full),
-    )
+    conclusion = is_complete_sufficient(sig, model, SubmodelRef.full(model))
     return TheoremReport("truncation-family", tuple(hyps), conclusion)
 
 
@@ -451,26 +449,12 @@ def verify_unknown_truncation(
     joint completeness) is re-run and its status recorded in the notes.
     """
     powered = power_model(m0, n)
-    full_pow = SubmodelRef.full(powered)
     hyps = [
         ("events-intersection-stable", _stability_report(m0, events)),
-        (
-            "base-complete-sufficient",
-            combine_reports(
-                "complete-sufficient",
-                is_complete(c, powered, full_pow),
-                is_sufficient(c, powered, full_pow),
-            ),
-        ),
+        ("base-complete-sufficient", is_complete_sufficient(c, powered, SubmodelRef.full(powered))),
     ]
     model, sig = truncated_family(m0, events, n, require_stable=False)
-    full = SubmodelRef.full(model)
-    joined = join(c, sig)
-    conclusion = combine_reports(
-        "complete-sufficient",
-        is_complete(joined, model, full),
-        is_sufficient(joined, model, full),
-    )
+    conclusion = is_complete_sufficient(join(c, sig), model, SubmodelRef.full(model))
     by_event, by_param = truncation_exhaustions(m0, model)
     route = verify_joint_completeness(model, [(c, by_event), (sig, by_param)])
     conclusion = conclusion.with_notes(
@@ -496,11 +480,7 @@ def verify_smith(
     if mode == "a":
         conclusion = is_sufficient(c, weighted, wfull)
     else:
-        conclusion = combine_reports(
-            "complete-sufficient",
-            is_complete(c, weighted, wfull),
-            is_sufficient(c, weighted, wfull),
-        )
+        conclusion = is_complete_sufficient(c, weighted, wfull)
     return TheoremReport(f"smith-weighting[{mode}]", tuple(hyps), conclusion)
 
 

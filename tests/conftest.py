@@ -47,6 +47,19 @@ def uniform_chain(n: int) -> FiniteModel:
     return FiniteModel(tuple(str(i + 1) for i in range(n)), ("u",), ((w,) * n,))
 
 
+def random_chain_base(rng, points: int, params: int) -> FiniteModel:
+    """Random distributions on a chain of points; masses may be zero, so
+    some events can get no mass."""
+    rows = []
+    for _ in range(params):
+        raw = [rng.choice((0, 0, 1, 2, 5)) for _ in range(points)]
+        raw[rng.randrange(points)] += 1
+        rows.append(tuple(Fraction(w, sum(raw)) for w in raw))
+    return FiniteModel(
+        tuple(str(x) for x in range(points)), tuple(f"t{i}" for i in range(params)), tuple(rows)
+    )
+
+
 def all_partitions(n: int):
     """Every partition of n points, via restricted growth strings."""
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from fincomplete import (
     is_ancillary,
     is_boundedly_complete,
     is_complete,
+    is_complete_sufficient,
     is_homogeneous,
     is_minimal_sufficient,
     is_sufficient,
@@ -24,8 +26,11 @@ from fincomplete import (
     product_model,
     support_union,
 )
+from fincomplete import linalg
 from fincomplete.checks import _ray_key
-from fincomplete.reports import VERDICT_FAIL, VERDICT_PASS, CheckReport
+from fincomplete.errors import CertificateError
+from fincomplete.model import RationalFunction
+from fincomplete.reports import VERDICT_FAIL, VERDICT_PASS, CheckReport, combine_reports
 
 from conftest import (
     all_partitions,
@@ -114,6 +119,80 @@ def oracle_is_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> Chec
     return CheckReport("sufficient", VERDICT_PASS, None, ())
 
 
+# --- oracles: the engine's former completeness and sufficiency checks,
+# which summed the block masses as Fractions with event_mass, once in each
+# check, kept verbatim as the references for the integer block masses ---
+
+
+def _support_blocks(c: Partition, su: frozenset[int]) -> list[int]:
+    """Block ids of c meeting the support union, in canonical block order."""
+    hit = {c.block_id[x] for x in su}
+    return [b for b in range(c.num_blocks) if b in hit]
+
+
+def _lift_block_vector(c: Partition, live: list[int], vec) -> RationalFunction:
+    by_block = dict(zip(live, vec))
+    zero = Fraction(0)
+    return RationalFunction(tuple(by_block.get(b, zero) for b in c.block_id))
+
+
+def fraction_is_complete(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
+    """Decide completeness of the partition for the submodel.
+
+    Pass means: every block-constant function with zero expectation under
+    all submodel members vanishes on the support union.  On fail the
+    witness is such a function that is not almost surely zero; it is
+    re-checked exactly (M v = 0, v != 0) before it is returned, and a
+    vector failing that raises ``CertificateError`` instead.
+    """
+    sub.validate(m)
+    su = support_union(m, sub)
+    live = _support_blocks(c, su)
+    blocks = c.blocks()
+    rows = [
+        tuple(m.event_mass(i, blocks[b]) for b in live) for i in sub.param_indices
+    ]
+    rank = linalg.fraction_free_rank(rows) if live else 0
+    notes = (f"support blocks: {len(live)}", f"rank: {rank}")
+    if rank == len(live):
+        return CheckReport("complete", VERDICT_PASS, None, notes)
+    vec = linalg.first_kernel_vector(rows, len(live))
+    if vec is None or len(vec) != len(live) or not any(vec) or any(
+        sum(a * v for a, v in zip(row, vec) if v) for row in rows
+    ):
+        raise CertificateError("incompleteness witness failed its exact re-check (M v = 0, v != 0)")
+    witness = _lift_block_vector(c, live, vec)
+    return CheckReport("complete", VERDICT_FAIL, {"function": witness}, notes)
+
+
+def fraction_is_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
+    """Decide sufficiency: conditional masses within each block must agree
+    across all parameters giving the block positive mass.
+
+    The comparison is by cross-multiplication, P(x) P'(B) = P'(x) P(B), so
+    no division occurs.  Agreement is transitive, so each member is
+    compared with the first one giving the block positive mass only.  On
+    fail the witness names the first offending (point, block, parameter
+    pair), the same one an all-pairs scan finds first.
+    """
+    sub.validate(m)
+    for block in c.blocks():
+        positive = [(i, t) for i in sub.param_indices if (t := m.event_mass(i, block)) > 0]
+        if not positive:
+            continue
+        i, ti = positive[0]
+        for j, tj in positive[1:]:
+            for x in block:
+                if m.prob[i][x] * tj != m.prob[j][x] * ti:
+                    witness = {
+                        "point": m.points[x],
+                        "block": tuple(m.points[y] for y in block),
+                        "params": (m.params[i], m.params[j]),
+                    }
+                    return CheckReport("sufficient", VERDICT_FAIL, witness, ())
+    return CheckReport("sufficient", VERDICT_PASS, None, ())
+
+
 _SCALES = (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 2))
 
 
@@ -150,6 +229,17 @@ def models_with_submodels(draw, max_points=8, max_params=5):
     if draw(st.booleans()):
         return m, SubmodelRef.full(m)
     return m, SubmodelRef(tuple(draw(st.sets(st.integers(min_value=0, max_value=k - 1), min_size=1))))
+
+
+@st.composite
+def partitions_for(draw, n):
+    """The trivial, the discrete or a random partition of n points."""
+    kind = draw(st.sampled_from(("trivial", "discrete", "random", "random")))
+    if kind == "trivial":
+        return Partition.trivial(n)
+    if kind == "discrete":
+        return Partition.discrete(n)
+    return Partition(tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))))
 
 
 signed_entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -198,6 +288,25 @@ class TestIsComplete:
         rep = is_boundedly_complete(Partition.trivial(2), m, SubmodelRef.full(m))
         assert rep.passed
         assert any("bounded" in n for n in rep.notes)
+
+
+    @given(models_with_submodels(), st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_integer_block_masses_match_fraction_checks(self, case, data):
+        m, sub = case
+        c = data.draw(partitions_for(m.num_points))
+        complete, sufficient = fraction_is_complete(c, m, sub), fraction_is_sufficient(c, m, sub)
+        assert is_complete(c, m, sub) == complete
+        assert is_sufficient(c, m, sub) == sufficient
+        both = combine_reports("complete-sufficient", complete, sufficient)
+        assert is_complete_sufficient(c, m, sub) == both
+
+    def test_partition_of_the_wrong_length_is_a_value_error(self):
+        m = coin_family("1/3", "1/2")
+        for check in (is_complete, is_sufficient, is_complete_sufficient):
+            for c in (Partition((0,)), Partition.discrete(3)):
+                with pytest.raises(ValueError, match="partition has"):
+                    check(c, m, SubmodelRef.full(m))
 
 
 class TestIsSufficient:

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import fincomplete as fc
 from fincomplete import linalg, verify
-from fincomplete.cli import PROPERTIES, run
+from fincomplete.cli import EVENT_KINDS, POWER_PARTITIONS, PROPERTIES, run
 from fincomplete.errors import CertificateError
+from fincomplete.reports import STATUS_THEOREM_VIOLATED
 from fincomplete.search import TEMPLATES
 from fincomplete.serialization import dumps, load_model_file, model_to_dict, save_model_file
 
@@ -366,6 +367,63 @@ class TestCommands:
         )
         assert code == 0 and "status: verified" in out
 
+    def test_verify_truncation_family_two_base_rows_is_a_gap(self, capsys, tmp_path):
+        doc = {
+            "points": ["0", "1", "2"],
+            "params": ["a", "b"],
+            "prob": [["1/3", "1/3", "1/3"], ["1/2", "1/4", "1/4"]],
+        }
+        path = tmp_path / "chain.model"
+        save_model_file(str(path), doc)
+        code, out, _ = invoke(
+            capsys, "verify", "truncation-family", "--model", str(path), "--events", "intervals", "--n", "3"
+        )
+        assert code == 2
+        assert "status: conclusion-fails-with-hypothesis-gap" in out
+        assert "  - base-single-distribution: fail" in out
+
+    @pytest.mark.parametrize("name", ["trivial", "min", "max", "min-max"])
+    def test_verify_unknown_truncation_builtin_partitions(self, capsys, tmp_path, name):
+        doc = {"points": ["1", "2", "3"], "params": ["u"], "prob": [["1/3", "1/6", "1/2"]]}
+        path = tmp_path / "chain.model"
+        save_model_file(str(path), doc)
+        code, out, _ = invoke(
+            capsys,
+            "--json", "verify", "unknown-truncation",
+            "--model", str(path), "--events", "intervals", "--n", "2", "--partition", name,
+        )
+        report = json.loads(out)
+        # one distribution: only the trivial partition is complete sufficient
+        assert (code, report["status"]) == ((0, "verified") if name == "trivial" else (2, "hypothesis-unmet"))
+        assert [h["verdict"] for h in report["hypotheses"]] == ["pass", "pass" if name == "trivial" else "fail"]
+
+    def test_verify_unknown_truncation_document_partition_wins(self, capsys, tmp_path):
+        # a document partition of the power space named like a built-in
+        doc = {
+            "points": ["1", "2"],
+            "params": ["u"],
+            "prob": [["1/3", "2/3"]],
+            "partitions": {"min": [0, 0]},
+        }
+        path = tmp_path / "coin.model"
+        save_model_file(str(path), doc)
+        argv = ("verify", "unknown-truncation", "--model", str(path), "--events", "uprays", "--partition", "min")
+        code, out, _ = invoke(capsys, *argv, "--n", "1")
+        assert code == 0 and "status: verified" in out
+        code, out, _ = invoke(capsys, *argv, "--n", "2")
+        assert code == 2 and "base-complete-sufficient: fail" in out
+
+    def test_verify_unknown_truncation_bogus_partition_is_three(self, tmp_path):
+        doc = {"points": ["1", "2", "3"], "params": ["u"], "prob": [["1/3", "1/6", "1/2"]]}
+        path = tmp_path / "chain.model"
+        save_model_file(str(path), doc)
+        code, out, err = invoke_process(
+            "verify", "unknown-truncation",
+            "--model", str(path), "--events", "intervals", "--n", "2", "--partition", "bogus",
+        )
+        assert code == 3 and out == ""
+        assert "Traceback" not in err and "error:" in err
+
     def test_verify_joint_completeness_with_file_exhaustions(self, capsys, tmp_path):
         e = fc.load("CE55")
         doc = model_to_dict(
@@ -531,12 +589,17 @@ def fuzz_cases(draw):
     command on it, sometimes with a token dropped or a junk token added.
     The command may also be a `search` that ignores the document, with a
     valid, foreign or bogus template and drop and a budget and max-found
-    around their lower limits.  The model path in the argv is the
+    around their lower limits, or a truncation `verify` with a valid or
+    bogus event kind, an `--n` around its lower limit and a built-in,
+    document or bogus `--partition`.  The model path in the argv is the
     placeholder MODEL."""
+    command = draw(st.sampled_from(("check", "minimal", "optimal-sigma", "validate", "search", "verify")))
     name = draw(st.sampled_from(sorted(REGISTRY_DOCS)))
     doc = json.loads(REGISTRY_DOCS[name])
     partitions = sorted(doc.get("partitions", {}))
-    for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2, 3)))):
+    # a verify mostly runs on an intact document, so it gets past loading
+    mutations = (0, 0, 0, 1) if command == "verify" else (0, 0, 1, 1, 2, 3)
+    for _ in range(draw(st.sampled_from(mutations))):
         parent, key = None, None
         node = doc
         while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
@@ -556,9 +619,15 @@ def fuzz_cases(draw):
         else:
             parent[key] = draw(MASSES if isinstance(node, str) else JUNK)
 
-    command = draw(st.sampled_from(("check", "minimal", "optimal-sigma", "validate", "search")))
     argv = ["--json"] if draw(st.booleans()) else []
-    if command == "search":
+    if command == "verify":
+        argv += [command, draw(st.sampled_from(("truncation-family", "unknown-truncation")))]
+        argv += ["--model", "MODEL", "--events", draw(st.sampled_from((*EVENT_KINDS, "bogus")))]
+        argv += ["--n", str(draw(st.sampled_from((1, 2, 3, 0, -1))))]
+        if draw(st.sampled_from((True, True, True, False))):
+            names = (*POWER_PARTITIONS, *partitions, "discrete", "bogus")
+            argv += ["--partition", draw(st.sampled_from(names))]
+    elif command == "search":
         argv += [command, "--template", draw(st.sampled_from(TEMPLATES + ("bogus",)))]
         argv += ["--seed", str(draw(st.integers(min_value=0, max_value=9)))]
         argv += ["--budget", str(draw(st.integers(min_value=-2, max_value=20)))]
@@ -568,7 +637,7 @@ def fuzz_cases(draw):
             argv += ["--max-found", str(draw(st.integers(min_value=-1, max_value=3)))]
     else:
         argv += [command, "--model", "MODEL"]
-    if command not in ("validate", "search") and draw(st.booleans()):
+    if command not in ("validate", "search", "verify") and draw(st.booleans()):
         argv += ["--sub", draw(st.sampled_from(SUBS))]
     if command == "check":
         prop = draw(st.sampled_from(PROPERTIES + ("bogus",)))
@@ -598,5 +667,6 @@ def test_fuzzed_documents_and_argv_map_to_exit_codes(tmp_path_factory, case):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     assert code in (0, 1, 2, 3)
+    assert STATUS_THEOREM_VIOLATED not in out.getvalue()
     if code == 1 and argv[0] == "--json":
         assert json.loads(out.getvalue())["witness"] is not None

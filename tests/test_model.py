@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,8 +24,15 @@ from fincomplete import (
     weighted_model,
 )
 from fincomplete.errors import InputError, SizeGuardError, StabilityError, WeightError
+from fincomplete.model import (
+    check_intersection_stable,
+    combine_labels,
+    event_label,
+    power_tuples,
+    resolve_size_guard,
+)
 
-from conftest import all_partitions, coin, coin_family, uniform_chain
+from conftest import all_partitions, coin, coin_family, random_chain_base, uniform_chain
 
 
 class TestValidateModel:
@@ -295,6 +303,81 @@ class TestWeightedModel:
             )
 
 
+# --- oracles: the engine's former power model, which multiplied each
+# point's coordinates afresh, and its former truncated family, which tested
+# each power point's membership once per (parameter, event) pair and again
+# for the signatures; kept verbatim as the references ---
+
+
+def oracle_power_model(a: FiniteModel, n: int, *, size_guard: int | None = None) -> FiniteModel:
+    """The i.i.d. n-fold power: same parameters, product masses on n-tuples."""
+    if n < 1:
+        raise ValueError("power requires n >= 1")
+    guard = resolve_size_guard(size_guard)
+    if a.num_points**n > guard:
+        raise SizeGuardError(f"{a.num_points}^{n} points exceeds the guard of {guard}")
+    tuples = list(itertools.product(range(a.num_points), repeat=n))
+    points = tuple("(" + ",".join(a.points[i] for i in t) + ")" for t in tuples)
+    prob = []
+    for row in a.prob:
+        out = []
+        for t in tuples:
+            p = Fraction(1)
+            for i in t:
+                p *= row[i]
+            out.append(p)
+        prob.append(tuple(out))
+    return FiniteModel(points, a.params, tuple(prob))
+
+
+def oracle_truncated_family(
+    m0: FiniteModel,
+    events,
+    n: int,
+    *,
+    require_stable: bool = True,
+    size_guard: int | None = None,
+) -> tuple[FiniteModel, Partition]:
+    """The family of event-conditioned i.i.d. powers, with the
+    sigma-algebra the event powers generate.
+
+    For every parameter P of the base model and every event E with
+    P(E) > 0, the result contains the n-fold power of P conditioned on E,
+    labeled (P, E).  The returned partition is generated by the sets E^n,
+    i.e. points of the power space share a block exactly when they lie in
+    the same events' powers.
+    """
+    evs = [frozenset(e) for e in events]
+    if require_stable:
+        bad = check_intersection_stable(evs)
+        if bad is not None:
+            i, j = bad
+            raise StabilityError(
+                f"events not intersection-stable: {event_label(m0, evs[i])} and "
+                f"{event_label(m0, evs[j])}"
+            )
+    powered = oracle_power_model(m0, n, size_guard=size_guard)
+    tuples = power_tuples(m0, n)
+    params = []
+    rows = []
+    for i, base_row in enumerate(m0.prob):
+        for e in evs:
+            emass = m0.event_mass(i, e)
+            if emass == 0:
+                continue
+            scale = emass**n
+            row = []
+            for t, p in zip(tuples, powered.prob[i]):
+                row.append(p / scale if all(x in e for x in t) else Fraction(0))
+            params.append(combine_labels(m0.params[i], event_label(m0, e)))
+            rows.append(tuple(row))
+    if not rows:
+        raise WeightError("no event has positive mass under any parameter")
+    model = FiniteModel(powered.points, tuple(params), tuple(rows))
+    signatures = [tuple(all(x in e for x in t) for e in evs) for t in tuples]
+    return model, partition_from_statistic(signatures)
+
+
 class TestTruncatedFamily:
     def test_full_space_event_reduces_to_power(self):
         m0 = coin_family("1/3", "1/2")
@@ -335,6 +418,21 @@ class TestTruncatedFamily:
         assert part_up == fc.min_partition(m0, 2)
         _, part_down = truncated_family(m0, fc.downray_events(4), 2)
         assert part_down == fc.max_partition(m0, 2)
+
+
+    def test_masks_match_former_construction(self):
+        """Chains of 2-5 points with 1-3 random parameters (zero masses
+        included, so some events get no mass), every event kind, every n
+        from 1 to 4."""
+        rng = random.Random(61)
+        kinds = (fc.interval_events, fc.upray_events, fc.downray_events)
+        for points in range(2, 6):
+            for params in range(1, 4):
+                m0 = random_chain_base(rng, points, params)
+                for kind, n in itertools.product(kinds, range(1, 5)):  # 5^4 is within the guard
+                    assert power_model(m0, n) == oracle_power_model(m0, n)
+                    got = truncated_family(m0, kind(points), n)
+                    assert got == oracle_truncated_family(m0, kind(points), n)
 
 
 class TestSubmodelSelectors:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fincomplete as fc
 from fincomplete import linalg
@@ -32,12 +34,13 @@ from fincomplete import (
 )
 from fincomplete.cli import run
 from fincomplete.errors import CertificateError, NotSufficientError
+from fincomplete.optimal import UmvueResult, _expectation_rows
 from fincomplete.serialization import model_to_dict, save_model_file
 from fincomplete.verify import Exhaustion
 
 from conftest import bernoulli_pair_grid, coin, coin_family
 
-from test_checks import random_small_model
+from test_checks import models_with_submodels, random_small_model
 
 
 def bernoulli_grid():
@@ -325,6 +328,54 @@ class TestUmvue:
         out = umvue(m, SubmodelRef.full(m), Estimand.of([0, 1]))
         assert out.estimator is None
         assert "not unbiasedly estimable" in out.note
+
+
+def oracle_umvue(m, sub, estimand):
+    """The engine's former umvue, whose block-mass rows were Fraction sums
+    of event_mass on the live blocks, kept verbatim as the reference."""
+    sub.validate(m)
+    part = optimal_sigma_algebra(m, sub)
+    su = support_union(m, sub)
+    blocks = part.blocks()
+    live = [b for b in range(len(blocks)) if any(x in su for x in blocks[b])]
+    rows = [
+        tuple(m.event_mass(i, blocks[b]) for b in live) for i in sub.param_indices
+    ]
+    rhs = [estimand.values[i] for i in sub.param_indices]
+    sol = linalg.solve(rows, rhs)
+    if sol is None:
+        estimable = linalg.solve(_expectation_rows(m, sub), rhs) is not None
+        note = (
+            "estimable, but no estimator measurable for the optimal partition"
+            if estimable
+            else "estimand is not unbiasedly estimable"
+        )
+        return UmvueResult(None, part, None, note)
+    by_block = dict(zip(live, sol))
+    zero = Fraction(0)
+    atom_values = tuple(by_block.get(b, zero) for b in range(len(blocks)))
+    values = tuple(atom_values[b] for b in part.block_id)
+    return UmvueResult(
+        RationalFunction(values), part, atom_values, "unique up to null sets"
+    )
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(models_with_submodels(), st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_umvue_on_integer_block_masses_matches_fraction_rows(case, data):
+    """Estimands are the means of a random function (always estimable) or
+    arbitrary values (often not)."""
+    m, sub = case
+    if data.draw(st.booleans()):
+        g = data.draw(st.lists(small_fractions, min_size=m.num_points, max_size=m.num_points))
+        estimand = Estimand(tuple(m.expectation(i, g) for i in range(m.num_params)))
+    else:
+        values = data.draw(st.lists(small_fractions, min_size=m.num_params, max_size=m.num_params))
+        estimand = Estimand(tuple(values))
+    assert umvue(m, sub, estimand) == oracle_umvue(m, sub, estimand)
 
 
 class TestExistsCompleteSufficient:

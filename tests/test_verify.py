@@ -35,7 +35,7 @@ from fincomplete.reports import (
 )
 from fincomplete.verify import cks_product, truncation_exhaustions
 
-from conftest import bernoulli_pair_grid, coin, coin_family, uniform_chain
+from conftest import bernoulli_pair_grid, coin, coin_family, random_chain_base, uniform_chain
 
 
 def product_instance():
@@ -97,6 +97,11 @@ class TestJointCompleteness:
         bad = Exhaustion("partial", (("only-first", SubmodelRef.of(0)),))
         with pytest.raises(ExhaustionError):
             verify_joint_completeness(m, [(Partition.discrete(2), bad)])
+
+    def test_partition_of_the_wrong_length_is_a_value_error(self):
+        m = uniform_chain(3)
+        with pytest.raises(ValueError, match="partition has 2 points"):
+            verify_joint_completeness(m, [(Partition((0, 1)), Exhaustion.single(m))])
 
 
 class TestTwoBlockGrid:
@@ -292,6 +297,34 @@ class TestTruncationFamily:
         failed = dict(report.hypothesis_results)
         assert failed["events-intersection-stable"].failed
         assert report.status in (STATUS_HYPOTHESIS_UNMET, STATUS_CONCLUSION_FAILS)
+
+    def test_two_base_distributions_are_a_hypothesis_gap(self):
+        # the theorem is about one base distribution; with two, the
+        # conclusion fails (complete but not sufficient) and must be
+        # charged to the base hypothesis, never read as a violation
+        m0 = FiniteModel(
+            ("0", "1", "2"),
+            ("a", "b"),
+            ((Fraction(1, 3),) * 3, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))),
+        )
+        report = verify_truncation_family(m0, fc.interval_events(3), 3)
+        assert report.status == STATUS_CONCLUSION_FAILS
+        assert report.failed_hypotheses() == ("base-single-distribution",)
+        assert report.conclusion_result.notes == ("complete: pass", "sufficient: fail")
+
+    def test_random_bases_never_violate_the_theorem(self):
+        rng = random.Random(71)
+        kinds = (fc.interval_events, fc.upray_events, fc.downray_events)
+        statuses = {1: set(), 2: set()}
+        for _ in range(200):
+            points, params, n = rng.randint(2, 4), rng.randint(1, 3), rng.randint(1, 3)
+            m0 = random_chain_base(rng, points, params)
+            report = verify_truncation_family(m0, rng.choice(kinds)(points), n)
+            assert report.status != STATUS_THEOREM_VIOLATED
+            if params == 1:
+                assert report.status == STATUS_VERIFIED
+            statuses[min(params, 2)].add(report.status)
+        assert statuses[2] >= {STATUS_VERIFIED, STATUS_CONCLUSION_FAILS}
 
 
 class TestUnknownTruncation:
