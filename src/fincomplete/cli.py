@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from typing import Callable
 
 from . import registry as registry_mod
 from . import search as search_mod
@@ -141,77 +143,6 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="fincomplete", description=__doc__)
-    parser.add_argument("--json", action="store_true", help="emit structured JSON reports")
-    parser.add_argument("--threads", type=int, default=1, help="accepted; output never depends on it")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check model file invariants")
-    p.add_argument("--model", required=True)
-
-    p = sub.add_parser("check", help="decide a structural property")
-    p.add_argument("--model", required=True)
-    p.add_argument("--property", required=True, choices=PROPERTIES)
-    p.add_argument("--partition")
-    p.add_argument("--partition2")
-    p.add_argument("--sub", default="all")
-
-    p = sub.add_parser("minimal", help="minimal sufficient partition")
-    p.add_argument("--model", required=True)
-    p.add_argument("--sub", default="all")
-
-    p = sub.add_parser("optimal-sigma", help="the optimal partition")
-    p.add_argument("--model", required=True)
-    p.add_argument("--sub", default="all")
-
-    p = sub.add_parser("umvue", help="optimal unbiased estimator of an estimand")
-    p.add_argument("--model", required=True)
-    p.add_argument("--sub", default="all")
-    p.add_argument("--estimand", required=True, help="comma-separated rationals, one per parameter")
-
-    p = sub.add_parser("rao-blackwell", help="condition an estimator on a sufficient partition")
-    p.add_argument("--model", required=True)
-    p.add_argument("--partition", required=True)
-    p.add_argument("--function", required=True)
-    p.add_argument("--sub", default="all")
-
-    p = sub.add_parser("verify", help="run a theorem verifier")
-    p.add_argument("theorem", choices=THEOREMS)
-    p.add_argument("--model", required=True)
-    p.add_argument("--r-model", help="second-family model file (cks)")
-    p.add_argument("--c1")
-    p.add_argument("--c2")
-    p.add_argument("--partition", action="append", default=[], help="unknown-truncation also takes " + "|".join(POWER_PARTITIONS))
-    p.add_argument("--exhaustion", action="append", default=[])
-    p.add_argument("--function")
-    p.add_argument("--events", help="named event list, or intervals/uprays/downrays")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--mode", default="complete", help="hom-connected: sufficient|minimal|complete; smith: a|b")
-    p.add_argument("--weak", action="store_true")
-
-    p = sub.add_parser("counterexample", help="replay a registry entry")
-    p.add_argument("id", help="|".join(registry_mod.REGISTRY_IDS))
-
-    p = sub.add_parser("search", help="hunt for hypothesis-dropping violations")
-    p.add_argument("--template", required=True, choices=search_mod.TEMPLATES)
-    p.add_argument("--drop", default=None)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-found", type=int, default=1)
-    p.add_argument("--out", help="directory for found-instance model files")
-
-    p = sub.add_parser("construct", help="build a derived model file")
-    p.add_argument("kind", choices=("product", "power", "weight", "truncate"))
-    p.add_argument("--model", required=True)
-    p.add_argument("--model2")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--function")
-    p.add_argument("--events")
-    p.add_argument("--out", required=True)
-    return parser
-
-
 def _load(path: str) -> ModelDocument:
     doc = load_model_file(path)
     rep = validate_model(doc.model)
@@ -297,7 +228,7 @@ def _cmd_partition(args) -> int:
 def _cmd_umvue(args) -> int:
     doc = _load(args.model)
     m = doc.model
-    values = [parse_rational(t.strip()) for t in args.estimand.split(",")]
+    values = [parse_rational(t) for t in args.estimand.split(",")]
     if len(values) != m.num_params:
         raise InputError("estimand needs one value per parameter")
     result = umvue(m, parse_submodel(m, args.sub), Estimand(tuple(values)))
@@ -360,14 +291,14 @@ def _cmd_verify(args) -> int:
     m = doc.model
     theorem = args.theorem
     try:
-        if theorem == "joint-completeness":
+        if theorem in ("joint-completeness", "hom-connected"):
             if len(args.partition) != len(args.exhaustion) or not args.partition:
                 raise InputError("pair each --partition with one --exhaustion")
-            family = [
-                (doc.partition(p), _named_exhaustion(doc, e))
-                for p, e in zip(args.partition, args.exhaustion)
-            ]
-            report = verify_joint_completeness(m, family)
+            family = [(doc.partition(p), _named_exhaustion(doc, e)) for p, e in zip(args.partition, args.exhaustion)]
+            if theorem == "joint-completeness":
+                report = verify_joint_completeness(m, family)
+            else:
+                report = verify_homogeneous_connected(m, family, args.mode, weak=args.weak)
         elif theorem == "two-block-grid":
             report = verify_two_block_grid(m, doc.partition(args.c1), doc.partition(args.c2))
         elif theorem == "cks":
@@ -377,14 +308,6 @@ def _cmd_verify(args) -> int:
             report = verify_cks(m, rdoc.model)
         elif theorem == "cks-rewrite":
             report = verify_cks_rewrite(m, doc.partition(args.c1), doc.partition(args.c2))
-        elif theorem == "hom-connected":
-            if len(args.partition) != len(args.exhaustion) or not args.partition:
-                raise InputError("pair each --partition with one --exhaustion")
-            family = [
-                (doc.partition(p), _named_exhaustion(doc, e))
-                for p, e in zip(args.partition, args.exhaustion)
-            ]
-            report = verify_homogeneous_connected(m, family, args.mode, weak=args.weak)
         elif theorem == "truncation-family":
             if not args.events:
                 raise InputError("truncation-family requires --events")
@@ -446,8 +369,6 @@ def _cmd_search(args) -> int:
         }
         payload.append(item)
         if args.out:
-            import os
-
             os.makedirs(args.out, exist_ok=True)
             for name, mm in sorted(hit.models.items()):
                 save_model_file(
@@ -492,25 +413,92 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "check": _cmd_check,
-    "minimal": _cmd_partition,
-    "optimal-sigma": _cmd_partition,
-    "umvue": _cmd_umvue,
-    "rao-blackwell": _cmd_rao_blackwell,
-    "verify": _cmd_verify,
-    "counterexample": _cmd_counterexample,
-    "search": _cmd_search,
-    "construct": _cmd_construct,
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_MODEL = _arg("--model", required=True)
+_SUB = _arg("--sub", default="all")
+
+# command name: (handler, help line, arguments as add_argument flags and keyword arguments)
+COMMANDS = {
+    "validate": (_cmd_validate, "check model file invariants", (_MODEL,)),
+    "check": (_cmd_check, "decide a structural property", (
+        _MODEL, _arg("--property", required=True, choices=PROPERTIES), _arg("--partition"), _arg("--partition2"), _SUB,
+    )),
+    "minimal": (_cmd_partition, "minimal sufficient partition", (_MODEL, _SUB)),
+    "optimal-sigma": (_cmd_partition, "the optimal partition", (_MODEL, _SUB)),
+    "umvue": (_cmd_umvue, "optimal unbiased estimator of an estimand", (
+        _MODEL, _SUB, _arg("--estimand", required=True, help="comma-separated rationals, one per parameter"),
+    )),
+    "rao-blackwell": (_cmd_rao_blackwell, "condition an estimator on a sufficient partition", (
+        _MODEL, _arg("--partition", required=True), _arg("--function", required=True), _SUB,
+    )),
+    "verify": (_cmd_verify, "run a theorem verifier", (
+        _arg("theorem", choices=THEOREMS),
+        _MODEL,
+        _arg("--r-model", help="second-family model file (cks)"),
+        _arg("--c1"),
+        _arg("--c2"),
+        # append copies its default before adding to it, so this [] is never mutated
+        _arg("--partition", action="append", default=[], help="unknown-truncation also takes " + "|".join(POWER_PARTITIONS)),
+        _arg("--exhaustion", action="append", default=[]),
+        _arg("--function"),
+        _arg("--events", help="named event list, or intervals/uprays/downrays"),
+        _arg("--n", type=int, default=1),
+        _arg("--mode", default="complete", help="hom-connected: sufficient|minimal|complete; smith: a|b"),
+        _arg("--weak", action="store_true"),
+    )),
+    "counterexample": (_cmd_counterexample, "replay a registry entry", (_arg("id", help="|".join(registry_mod.REGISTRY_IDS)),)),
+    "search": (_cmd_search, "hunt for hypothesis-dropping violations", (
+        _arg("--template", required=True, choices=search_mod.TEMPLATES),
+        _arg("--drop"),
+        _arg("--budget", type=int, required=True),
+        _arg("--seed", type=int, required=True),
+        _arg("--max-found", type=int, default=1),
+        _arg("--out", help="directory for found-instance model files"),
+    )),
+    "construct": (_cmd_construct, "build a derived model file", (
+        _arg("kind", choices=("product", "power", "weight", "truncate")),
+        _MODEL,
+        _arg("--model2"),
+        _arg("--n", type=int, default=2),
+        _arg("--function"),
+        _arg("--events"),
+        _arg("--out", required=True),
+    )),
 }
 
 
+def _parse(argv: list[str] | None) -> tuple[Callable[[argparse.Namespace], int], argparse.Namespace]:
+    """Parse the global flags and the command name, then the rest of argv
+    with a parser built from that one command's arguments; return the
+    command's handler and the namespace."""
+    top = _Parser(
+        prog="fincomplete",
+        description=__doc__,
+        epilog="commands (see fincomplete <command> -h):\n"
+        + "\n".join(f"  {name:<16}{help_line}" for name, (_, help_line, _) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    top.add_argument("--json", action="store_true", help="emit structured JSON reports")
+    top.add_argument("--threads", type=int, default=1, help="accepted; output never depends on it")
+    # the command name, checked against choices, and all of argv after it,
+    # with any "--" left for the command's parser, as add_subparsers does
+    top.add_argument("command", nargs=argparse.PARSER, choices=COMMANDS, metavar="command", help="one of the commands below, then its arguments")
+    args = top.parse_args(argv)
+    args.command, *rest = args.command
+    handler, help_line, specs = COMMANDS[args.command]
+    sub = _Parser(prog=f"fincomplete {args.command}", description=help_line)
+    for flags, kwargs in specs:
+        sub.add_argument(*flags, **kwargs)
+    return handler, sub.parse_args(rest, namespace=args)
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        handler, args = _parse(argv)
+        return handler(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

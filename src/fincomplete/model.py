@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import linalg
 from .errors import InputError, SizeGuardError, StabilityError, WeightError
 from .reports import CheckReport
 
@@ -348,11 +349,12 @@ def validate_model(m: FiniteModel) -> CheckReport:
         at = {"param": m.params[i]}
         if len(row) != m.num_points:
             return CheckReport(prop, "fail", at, (f"row length mismatch at param {i}",))
-        for x, p in enumerate(row):
-            if p < 0:
-                at["point"] = m.points[x]
-                return CheckReport(prop, "fail", at, (f"negative mass at param {i}, point {x}",))
-        if sum(row) != 1:
+        scale, masses = linalg.scale_to_integers(row)
+        if min(masses) < 0:
+            x = next(x for x, v in enumerate(masses) if v < 0)
+            at["point"] = m.points[x]
+            return CheckReport(prop, "fail", at, (f"negative mass at param {i}, point {x}",))
+        if sum(masses) != scale:
             return CheckReport(prop, "fail", at, (f"row sum != 1 at param {i}",))
     return CheckReport(prop, "pass", None, ())
 

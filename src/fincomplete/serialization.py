@@ -24,16 +24,18 @@ from .errors import InputError
 from .model import FiniteModel, Partition, RationalFunction, SubmodelRef
 from .reports import CheckReport, TheoremReport
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse "a/b" or an integer string; anything else (in particular
-    decimal literals) is rejected."""
-    if not isinstance(s, str) or not _RATIONAL_RE.match(s):
+    """Parse "a/b" or an integer string in ASCII digits, with nothing around
+    it; anything else (in particular decimal literals) is rejected."""
+    match = _RATIONAL_RE.fullmatch(s) if isinstance(s, str) else None
+    if match is None:
         raise InputError(f"not an exact rational string: {s!r}")
+    num, den = match.groups()
     try:
-        return Fraction(s)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise InputError(f"zero denominator: {s!r}") from None
     except ValueError as e:  # the interpreter's integer-string digit limit

@@ -12,15 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fincomplete as fc
-from fincomplete import linalg, verify
-from fincomplete.cli import EVENT_KINDS, POWER_PARTITIONS, PROPERTIES, run
-from fincomplete.errors import CertificateError
+from fincomplete import cli, linalg, verify
+from fincomplete.cli import COMMANDS, EVENT_KINDS, POWER_PARTITIONS, PROPERTIES, THEOREMS, run
+from fincomplete.errors import CertificateError, InputError
 from fincomplete.reports import STATUS_THEOREM_VIOLATED
 from fincomplete.search import TEMPLATES
 from fincomplete.serialization import dumps, load_model_file, model_to_dict, save_model_file
 
 REGISTRY = os.path.join(os.path.dirname(__file__), "..", "registry")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
 
 
 def reg(name: str) -> str:
@@ -174,6 +177,21 @@ class TestExitCodes:
         code, _, err = invoke_process("validate", "--model", str(path))
         assert code == 3
         assert "Traceback" not in err and "error:" in err
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [lambda t: t + "\n", lambda t: t + " ", lambda t: t.translate(ARABIC_INDIC_DIGITS)],
+        ids=["trailing-newline", "trailing-space", "arabic-indic-digits"],
+    )
+    def test_rational_with_stray_characters_is_three(self, capsys, tmp_path, spoil):
+        with open(reg("ce55.model"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["prob"][0][0] = spoil(doc["prob"][0][0])
+        path = tmp_path / "spoiled.model"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert invoke(capsys, "validate", "--model", str(path))[0] == 3
+        estimand = ",".join([spoil("1/5"), "1/4", "1/3", "4/5", "3/4", "2/3"])
+        assert invoke(capsys, "umvue", "--model", reg("ce52.model"), "--estimand", estimand)[0] == 3
 
     @pytest.mark.parametrize(
         "base, field, value",
@@ -573,11 +591,95 @@ JUNK = st.sampled_from((
 )).map(copy.deepcopy)
 MASSES = st.sampled_from(("0", "1", "1/2", "-1/2", "2/3", "1/0", "0.5"))
 SUBS = ("all", "all", "params=0", "params=1,0", "theta1=1", "theta2=2", "params=0,0", "params=9", "bogus")
+# the documents with named partitions and functions, for commands that name them
+ATTACHED_DOCS = tuple(name for name in sorted(REGISTRY_DOCS) if "functions" in json.loads(REGISTRY_DOCS[name]))
+TRUNCATION_THEOREMS = ("truncation-family", "unknown-truncation")
 ARGV_JUNK = ("--bogus", "", "--sub", "--model", "check", "--partition")
 # every template's droppable families, so most drops are foreign to the template
 DROPS = (
     verify.JOINT_COMPLETENESS_FAMILIES + verify.TWO_BLOCK_GRID_FAMILIES + verify.CKS_FAMILIES
 )
+
+
+def _exhaustion_pieces(draw, k: int) -> list:
+    """Pieces over k parameter indices, each index in one piece; sometimes
+    a piece is left out, so that the rest no longer cover the model."""
+    piece_of = [draw(st.integers(min_value=0, max_value=2)) for _ in range(k)]
+    pieces = [
+        {"label": str(g), "params": [i for i in range(k) if piece_of[i] == g]} for g in sorted(set(piece_of))
+    ]
+    if len(pieces) > 1 and draw(st.sampled_from((False, False, False, True))):
+        pieces.pop()
+    return pieces
+
+
+def _estimand(draw, doc: dict) -> str:
+    """One value per parameter: the means of a drawn function, so an
+    estimable estimand, or drawn masses; sometimes one value too many or
+    too few."""
+    rows = [[Fraction(p) for p in row] for row in doc["prob"]]
+    if draw(st.booleans()):
+        f = [draw(st.integers(min_value=-1, max_value=2)) for _ in rows[0]]
+        values = [str(sum(p * v for p, v in zip(row, f))) for row in rows]
+    else:
+        values = [draw(MASSES) for _ in rows]
+    drift = draw(st.sampled_from((0, 0, 0, 1, -1)))
+    if drift > 0:
+        values.append(draw(MASSES))
+    elif drift < 0 and len(values) > 1:
+        values.pop()
+    return ",".join(values)
+
+
+def _named(doc: dict, key: str):
+    """A name of one of the document's attachments under key, or now and
+    then a bogus one."""
+    names = sorted(doc.get(key, {}))
+    return st.sampled_from((*names, *names, *names, "bogus"))
+
+
+def _verify_flags(draw, theorem: str, doc: dict) -> list[str]:
+    """Flags for one verifier, with names drawn from the document's
+    attachments, the built-in ones and a bogus one."""
+    partitions, functions, exhaustions = (_named(doc, key) for key in ("partitions", "functions", "exhaustions"))
+    if theorem in ("joint-completeness", "hom-connected"):
+        flags = []
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            flags += ["--partition", draw(partitions), "--exhaustion", draw(exhaustions)]
+        if draw(st.sampled_from((False, False, False, True))):
+            flags = flags[:-2]  # an unpaired --partition, or none at all
+        if theorem == "hom-connected":
+            flags += ["--mode", draw(st.sampled_from(("sufficient", "minimal", "complete", "bogus")))]
+            flags += ["--weak"] if draw(st.booleans()) else []
+        return flags
+    if theorem in ("two-block-grid", "cks-rewrite"):
+        return ["--c1", draw(partitions), "--c2", draw(partitions)]
+    if theorem == "cks":
+        return ["--r-model", draw(st.sampled_from(("MODEL", *map(reg, sorted(REGISTRY_DOCS)))))]
+    if theorem == "smith":
+        return ["--mode", draw(st.sampled_from(("a", "b", "bogus"))), "--partition", draw(partitions), "--function", draw(functions)]
+    if theorem == "bondesson":
+        return ["--exhaustion", draw(exhaustions), "--function", draw(functions)]
+    flags = ["--events", draw(st.sampled_from((*EVENT_KINDS, "bogus")))]
+    flags += ["--n", str(draw(st.sampled_from((1, 2, 3, 0, -1))))]
+    if draw(st.sampled_from((True, True, True, False))):
+        names = (*POWER_PARTITIONS, *sorted(doc.get("partitions", {})), "discrete", "bogus")
+        flags += ["--partition", draw(st.sampled_from(names))]
+    return flags
+
+
+def _construct_flags(draw, doc: dict) -> list[str]:
+    kind = draw(st.sampled_from(("product", "power", "weight", "truncate", "bogus")))
+    flags = [kind, "--model", "MODEL", "--out", "OUT"]
+    if kind == "product":
+        flags += ["--model2", draw(st.sampled_from(("MODEL", reg("ce53_q.model"))))]
+    elif kind in ("power", "truncate"):
+        flags += ["--n", str(draw(st.sampled_from((1, 2, 3, 0))))]
+    if kind == "weight":
+        flags += ["--function", draw(_named(doc, "functions"))]
+    elif kind == "truncate":
+        flags += ["--events", draw(st.sampled_from((*EVENT_KINDS, "bogus")))]
+    return flags
 
 
 @st.composite
@@ -586,17 +688,26 @@ def fuzz_cases(draw):
     reached by a random descent: dropped, retyped (a string, such as a
     mass, to another rational string or junk), or (for a list such as a
     prob row or a partition) lengthened or shortened; and the argv of one
-    command on it, sometimes with a token dropped or a junk token added.
-    The command may also be a `search` that ignores the document, with a
-    valid, foreign or bogus template and drop and a budget and max-found
-    around their lower limits, or a truncation `verify` with a valid or
-    bogus event kind, an `--n` around its lower limit and a built-in,
-    document or bogus `--partition`.  The model path in the argv is the
-    placeholder MODEL."""
-    command = draw(st.sampled_from(("check", "minimal", "optimal-sigma", "validate", "search", "verify")))
-    name = draw(st.sampled_from(sorted(REGISTRY_DOCS)))
+    command of the CLI's table on it, sometimes with a token dropped or a
+    junk token added.  A `verify` runs one of the nine verifiers, on a
+    document given an exhaustion, with flags that name the document's
+    attachments, built-in ones or bogus ones; a `search` ignores the
+    document and has a valid, foreign or bogus template and drop and a
+    budget and max-found around their lower limits.  The model path in
+    the argv is the placeholder MODEL, and a `construct` writes to the
+    placeholder OUT."""
+    command = draw(st.sampled_from(tuple(COMMANDS)))
+    theorem = draw(st.sampled_from(THEOREMS)) if command == "verify" else None
+    names_attachments = command == "rao-blackwell" or theorem not in (None, "cks", *TRUNCATION_THEOREMS)
+    name = draw(st.sampled_from(ATTACHED_DOCS if names_attachments else sorted(REGISTRY_DOCS)))
     doc = json.loads(REGISTRY_DOCS[name])
+    if command == "umvue":
+        estimand = _estimand(draw, doc)
+    if command == "verify":
+        doc["exhaustions"] = {"split": _exhaustion_pieces(draw, len(doc["params"]))}
+        flags = _verify_flags(draw, theorem, doc)
     partitions = sorted(doc.get("partitions", {}))
+    functions = _named(doc, "functions")
     # a verify mostly runs on an intact document, so it gets past loading
     mutations = (0, 0, 0, 1) if command == "verify" else (0, 0, 1, 1, 2, 3)
     for _ in range(draw(st.sampled_from(mutations))):
@@ -621,12 +732,7 @@ def fuzz_cases(draw):
 
     argv = ["--json"] if draw(st.booleans()) else []
     if command == "verify":
-        argv += [command, draw(st.sampled_from(("truncation-family", "unknown-truncation")))]
-        argv += ["--model", "MODEL", "--events", draw(st.sampled_from((*EVENT_KINDS, "bogus")))]
-        argv += ["--n", str(draw(st.sampled_from((1, 2, 3, 0, -1))))]
-        if draw(st.sampled_from((True, True, True, False))):
-            names = (*POWER_PARTITIONS, *partitions, "discrete", "bogus")
-            argv += ["--partition", draw(st.sampled_from(names))]
+        argv += [command, theorem, "--model", "MODEL", *flags]
     elif command == "search":
         argv += [command, "--template", draw(st.sampled_from(TEMPLATES + ("bogus",)))]
         argv += ["--seed", str(draw(st.integers(min_value=0, max_value=9)))]
@@ -635,17 +741,25 @@ def fuzz_cases(draw):
             argv += ["--drop", draw(st.sampled_from(DROPS + ("bogus",)))]
         if draw(st.booleans()):
             argv += ["--max-found", str(draw(st.integers(min_value=-1, max_value=3)))]
+    elif command == "counterexample":
+        argv += [command, draw(st.sampled_from((*fc.REGISTRY_IDS, "bogus")))]
+    elif command == "construct":
+        argv += [command, *_construct_flags(draw, doc)]
     else:
         argv += [command, "--model", "MODEL"]
-    if command not in ("validate", "search", "verify") and draw(st.booleans()):
+    if command in ("check", "minimal", "optimal-sigma", "umvue", "rao-blackwell") and draw(st.booleans()):
         argv += ["--sub", draw(st.sampled_from(SUBS))]
+    names = st.sampled_from(("discrete", "trivial", "nope", *partitions, *partitions))
     if command == "check":
         prop = draw(st.sampled_from(PROPERTIES + ("bogus",)))
         argv += ["--property", prop]
-        names = st.sampled_from(("discrete", "trivial", "nope", *partitions, *partitions))
         argv += ["--partition", draw(names)]
         if prop in ("independent", "basu") or draw(st.booleans()):
             argv += ["--partition2", draw(names)]
+    elif command == "umvue":
+        argv += ["--estimand", estimand]
+    elif command == "rao-blackwell":
+        argv += ["--partition", draw(names), "--function", draw(functions)]
     if draw(st.sampled_from((False, False, False, True))):
         at = draw(st.integers(min_value=0, max_value=len(argv) - 1))
         if draw(st.booleans()):
@@ -656,17 +770,184 @@ def fuzz_cases(draw):
 
 
 @given(fuzz_cases())
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=800, deadline=None, derandomize=True)
 def test_fuzzed_documents_and_argv_map_to_exit_codes(tmp_path_factory, case):
     doc, argv = case
-    path = str(tmp_path_factory.getbasetemp() / "fuzz.model")
+    base = tmp_path_factory.getbasetemp()
+    path = str(base / "fuzz.model")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
-    argv = [path if a == "MODEL" else a for a in argv]
+    argv = [{"MODEL": path, "OUT": str(base / "fuzz-out.model")}.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     assert code in (0, 1, 2, 3)
     assert STATUS_THEOREM_VIOLATED not in out.getvalue()
     if code == 1 and argv[0] == "--json":
-        assert json.loads(out.getvalue())["witness"] is not None
+        payload = json.loads(out.getvalue())
+        # a failed check names a witness; an inestimable estimand has no estimator
+        if "estimator" in payload:
+            assert payload["estimator"] is None
+        else:
+            assert payload["witness"] is not None
+
+
+# --- the per-command parser against the full parser it replaced ---
+
+
+def _build_parser() -> cli._Parser:
+    """The parser that the CLI built on every call before it parsed only
+    the invoked command, with all ten subparsers: the oracle for
+    ``cli._parse``."""
+    parser = cli._Parser(prog="fincomplete", description=cli.__doc__)
+    parser.add_argument("--json", action="store_true", help="emit structured JSON reports")
+    parser.add_argument("--threads", type=int, default=1, help="accepted; output never depends on it")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", help="check model file invariants")
+    p.add_argument("--model", required=True)
+
+    p = sub.add_parser("check", help="decide a structural property")
+    p.add_argument("--model", required=True)
+    p.add_argument("--property", required=True, choices=PROPERTIES)
+    p.add_argument("--partition")
+    p.add_argument("--partition2")
+    p.add_argument("--sub", default="all")
+
+    p = sub.add_parser("minimal", help="minimal sufficient partition")
+    p.add_argument("--model", required=True)
+    p.add_argument("--sub", default="all")
+
+    p = sub.add_parser("optimal-sigma", help="the optimal partition")
+    p.add_argument("--model", required=True)
+    p.add_argument("--sub", default="all")
+
+    p = sub.add_parser("umvue", help="optimal unbiased estimator of an estimand")
+    p.add_argument("--model", required=True)
+    p.add_argument("--sub", default="all")
+    p.add_argument("--estimand", required=True, help="comma-separated rationals, one per parameter")
+
+    p = sub.add_parser("rao-blackwell", help="condition an estimator on a sufficient partition")
+    p.add_argument("--model", required=True)
+    p.add_argument("--partition", required=True)
+    p.add_argument("--function", required=True)
+    p.add_argument("--sub", default="all")
+
+    p = sub.add_parser("verify", help="run a theorem verifier")
+    p.add_argument("theorem", choices=THEOREMS)
+    p.add_argument("--model", required=True)
+    p.add_argument("--r-model", help="second-family model file (cks)")
+    p.add_argument("--c1")
+    p.add_argument("--c2")
+    p.add_argument("--partition", action="append", default=[], help="unknown-truncation also takes " + "|".join(POWER_PARTITIONS))
+    p.add_argument("--exhaustion", action="append", default=[])
+    p.add_argument("--function")
+    p.add_argument("--events", help="named event list, or intervals/uprays/downrays")
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--mode", default="complete", help="hom-connected: sufficient|minimal|complete; smith: a|b")
+    p.add_argument("--weak", action="store_true")
+
+    p = sub.add_parser("counterexample", help="replay a registry entry")
+    p.add_argument("id", help="|".join(fc.REGISTRY_IDS))
+
+    p = sub.add_parser("search", help="hunt for hypothesis-dropping violations")
+    p.add_argument("--template", required=True, choices=TEMPLATES)
+    p.add_argument("--drop", default=None)
+    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--max-found", type=int, default=1)
+    p.add_argument("--out", help="directory for found-instance model files")
+
+    p = sub.add_parser("construct", help="build a derived model file")
+    p.add_argument("kind", choices=("product", "power", "weight", "truncate"))
+    p.add_argument("--model", required=True)
+    p.add_argument("--model2")
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--function")
+    p.add_argument("--events")
+    p.add_argument("--out", required=True)
+    return parser
+
+
+def _parse_outcome(parse, argv):
+    """The exit code of a parse (3 for a usage error, the code of a help
+    exit) and, where it succeeds, the namespace's fields."""
+    try:
+        return 0, vars(parse(argv))
+    except InputError:
+        return 3, None
+    except SystemExit as e:
+        return e.code, None
+
+
+def _assert_parsers_agree(argv):
+    old = _parse_outcome(lambda a: _build_parser().parse_args(a), argv)
+    assert _parse_outcome(lambda a: cli._parse(a)[1], argv) == old
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--json"],
+        ["bogus", "--model", "m"],
+        ["--threads", "x", "validate", "--model", "m"],
+        ["--threads", "2", "--json", "validate", "--model", "m"],
+        ["check", "--json", "--model", "m", "--property", "complete"],
+        ["validate", "--model", "m", "--threads", "2"],
+        ["check", "--mod", "m", "--prop", "sufficient", "--partition", "C1"],
+        ["--js", "--thr", "3", "minimal", "--model=m", "--sub", "all"],
+        ["check", "--model", "m"],
+        ["umvue", "--model", "m"],
+        ["verify", "--model", "m"],
+        ["counterexample"],
+        ["search", "--template", "cks", "--budget", "-2", "--seed", "1"],
+        ["verify", "smith", "--model", "m", "--partition", "a", "--partition", "b", "--mode", "a", "--weak"],
+        ["construct", "power", "--model", "m", "--out", "o", "--n", "-1"],
+        ["counterexample", "CE55", "extra"],
+        ["validate", "--", "--model", "m"],
+        ["--", "validate", "--model", "m"],
+        ["", "validate", "--model", "m"],
+        ["--model", "validate", "--model", "m"],
+        ["-h"],
+        ["verify", "-h"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-args",
+)
+def test_parser_matches_full_parser(capsys, argv):
+    _assert_parsers_agree(argv)
+
+
+@given(fuzz_cases())
+@settings(max_examples=800, deadline=None, derandomize=True)
+def test_parser_matches_full_parser_on_fuzzed_argv(case):
+    _assert_parsers_agree(case[1])
+
+
+GUARD_ARGV = {
+    "validate": ["validate", "--model", reg("ce55.model")],
+    "check": ["check", "--model", reg("ce55.model"), "--partition", "C1", "--property", "complete"],
+    "minimal": ["minimal", "--model", reg("ce55.model")],
+    "optimal-sigma": ["optimal-sigma", "--model", reg("ce55.model")],
+    "umvue": ["umvue", "--model", reg("ce52.model"), "--estimand", "1/5,1/4,1/3,4/5,3/4,2/3"],
+    "rao-blackwell": ["rao-blackwell", "--model", reg("ce55.model"), "--partition", "discrete", "--function", "identity"],
+    "verify": ["verify", "two-block-grid", "--model", reg("ce52.model"), "--c1", "sigmaX1", "--c2", "sigmaSum"],
+    "counterexample": ["counterexample", "CE53"],
+    "search": ["search", "--template", "cks", "--budget", "1", "--seed", "1"],
+    "construct": ["construct", "power", "--model", reg("ce55.model"), "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_call_builds_two_parsers(capsys, monkeypatch, tmp_path, command):
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    argv = [str(tmp_path / "out.model") if a == "OUT" else a for a in GUARD_ARGV[command]]
+    assert run(argv) in (0, 1, 2)
+    assert built == ["fincomplete", f"fincomplete {command}"]

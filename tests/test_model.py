@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -57,6 +58,73 @@ class TestValidateModel:
         m = FiniteModel(("a", "a"), ("t",), ((Fraction(1, 2), Fraction(1, 2)),))
         assert "point labels" in validate_model(m).notes[0]
         assert validate_model(m).witness == {"point": "a"}
+
+    def test_agrees_with_fraction_oracle(self):
+        rng = random.Random(11)
+        kinds = ("valid", "negative", "zero-row", "off-by-lcm", "short-row", "points", "params", "tuple-params")
+        for kind in kinds * 60:
+            m = _random_validation_case(rng, kind)
+            got, want = validate_model(m), oracle_validate_model(m)
+            assert (got.verdict, got.witness, got.notes) == (want.verdict, want.witness, want.notes), kind
+
+
+def oracle_validate_model(m: FiniteModel) -> fc.CheckReport:
+    """``validate_model`` as it was, with signs and row sums in ``Fraction``
+    arithmetic: the oracle for the integer version."""
+    prop = "valid-model"
+    if m.num_points < 1:
+        return fc.CheckReport(prop, "fail", {"points": 0}, ("no points",))
+    if m.num_params < 1:
+        return fc.CheckReport(prop, "fail", {"params": 0}, ("no parameters",))
+    for kind, key, labels in (("point", "point", m.points), ("parameter", "param", m.params)):
+        if len(set(labels)) != len(labels):
+            repeated = next(lab for x, lab in enumerate(labels) if lab in labels[:x])
+            return fc.CheckReport(prop, "fail", {key: repeated}, (f"{kind} labels not distinct",))
+    for i, row in enumerate(m.prob):
+        at = {"param": m.params[i]}
+        if len(row) != m.num_points:
+            return fc.CheckReport(prop, "fail", at, (f"row length mismatch at param {i}",))
+        for x, p in enumerate(row):
+            if p < 0:
+                at["point"] = m.points[x]
+                return fc.CheckReport(prop, "fail", at, (f"negative mass at param {i}, point {x}",))
+        if sum(row) != 1:
+            return fc.CheckReport(prop, "fail", at, (f"row sum != 1 at param {i}",))
+    return fc.CheckReport(prop, "pass", None, ())
+
+
+def _random_validation_case(rng: random.Random, kind: str) -> FiniteModel:
+    """A seeded model with rows summing to one, then broken in one way:
+    one or two negative masses, a zero row, one mass off by 1/lcm of the row's
+    denominators, a short row, or a repeated point, parameter or
+    parameter-tuple label."""
+    n, k = rng.randint(1, 6), rng.randint(1, 4)
+    rows = []
+    for _ in range(k):
+        weights = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n)]
+        if not any(weights):
+            weights[rng.randrange(n)] = 1
+        rows.append([Fraction(w, sum(weights)) for w in weights])
+    points = [f"x{j}" for j in range(n)]
+    params = [(f"a{i % 2}", f"b{i}") if kind == "tuple-params" else f"t{i}" for i in range(k)]
+    row = rows[rng.randrange(k)]
+    x = rng.randrange(n)
+    if kind == "negative":
+        for y in rng.sample(range(n), min(n, rng.choice((1, 2)))):
+            row[y] = -Fraction(1, rng.choice((1, 2, 7)))
+        row[x] += 1 - sum(row)  # the sum is one again
+    elif kind == "zero-row":
+        row[:] = [Fraction(0)] * n
+    elif kind == "off-by-lcm":
+        row[x] += rng.choice((1, -1)) * Fraction(1, math.lcm(*(p.denominator for p in row)))
+    elif kind == "short-row":
+        row.pop()
+    elif kind == "points" and n > 1:
+        points[x] = points[rng.choice([j for j in range(n) if j != x])]
+    elif kind in ("params", "tuple-params") and k > 1:
+        i = rng.randrange(1, k)
+        params[i] = params[rng.randrange(i)]
+    return FiniteModel(tuple(points), tuple(params), tuple(tuple(r) for r in rows))
 
 
 class TestSupportUnion:

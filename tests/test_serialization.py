@@ -25,7 +25,7 @@ class TestRationals:
         assert parse_rational("-3") == Fraction(-3)
         assert parse_rational("+4/8") == Fraction(1, 2)
 
-    @pytest.mark.parametrize("bad", ["0.5", "1e3", "a/b", "1/2/3", "", "1/0", " 1"])
+    @pytest.mark.parametrize("bad", ["0.5", "1e3", "a/b", "1/2/3", "", "1/0", " 1", "1/2\n", "1/2 ", "\u0661/\u0662"])
     def test_rejects_non_exact_strings(self, bad):
         with pytest.raises(InputError):
             parse_rational(bad)
