@@ -39,6 +39,7 @@ from .errors import (
 )
 from .model import (
     Partition,
+    SubmodelRef,
     downray_events,
     interval_events,
     max_partition,
@@ -127,12 +128,14 @@ EVENT_KINDS = {
 }
 
 # partitions of the n-fold power space that ``verify unknown-truncation``
-# accepts by name, as functions of (base model, n)
+# accepts by name, as functions of (base model, n); "optimal" is always
+# complete, so its hypothesis holds exactly when it is also sufficient
 POWER_PARTITIONS = {
     "trivial": lambda m0, n: Partition.trivial(m0.num_points**n),
     "min": min_partition,
     "max": max_partition,
     "min-max": min_max_partition,
+    "optimal": lambda m0, n: optimal_sigma_algebra(power_model(m0, n), SubmodelRef.full(m0)),
 }
 
 

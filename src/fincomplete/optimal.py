@@ -1,14 +1,17 @@
 """Optimal unbiased estimation on finite models.
 
 The zero-unbiased space of a submodel is the kernel of its expectation
-matrix.  The optimal partition is the partition of the sigma-algebra of
+matrix P.  The optimal partition is the partition of the sigma-algebra of
 events A with P(1_A h) = 0 for every zero-unbiased h and every submodel
-member P, i.e. of the A whose indicator lies in the kernel of the rows
-W = (h(x) P(x))_x.  A function f is in that kernel exactly when f h is
-zero-unbiased for every zero-unbiased h, so the kernel contains the
-constants and is closed under pointwise product: it is exactly the
-functions constant on the atoms, and one kernel basis gives the atoms as
-the classes of points with equal coordinates, in polynomial time.
+member P.  A function f has P(f h) = 0 for all such h and P exactly when
+P_i * f (pointwise) lies in the row space of P for every member i; those f
+contain the constants and are closed under pointwise product, so they are
+exactly the functions constant on the atoms.  In reduced form the row
+space test fixes f on the support union by its values g on the pivot
+columns and leaves integer linear constraints on g, with one column per
+pivot: the atoms are the classes of points with equal values across a
+kernel basis of those constraints, in polynomial time and without
+building a zero-unbiased basis.
 Optimality of an estimator, defined as simultaneous minimal risk for every
 convex loss among unbiased estimators of the same estimand, is equivalent
 to measurability with respect to this partition, which is what the
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import linalg
 from .checks import _block_masses, is_sufficient
@@ -99,26 +103,96 @@ def unbiased_class(m: FiniteModel, sub: SubmodelRef, estimand: Estimand) -> Unbi
     return UnbiasedClass(particular, tuple(zero_unbiased_basis(m, sub)))
 
 
+# a fixed prime keeps the modular ranks of the certificate deterministic
+_PRIME = 2**61 - 1
+
+
+def _rank_mod_prime(rows) -> int:
+    """Rank of an integer matrix modulo ``_PRIME``; never above its rank
+    over the rationals."""
+    rows = [[a % _PRIME for a in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, _PRIME)
+        top = [a * inv % _PRIME for a in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(a - f * b) % _PRIME for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def _in_row_space(v, red, pivots, d) -> bool:
+    """The integer membership test d v(x) = sum_t v(pivot_t) red_t(x): v is
+    the combination of the reduced rows given by its pivot entries."""
+    terms = [(v[pc], red[t]) for t, pc in enumerate(pivots) if v[pc]]
+    return all(d * vx == sum(c * row[x] for c, row in terms) for x, vx in enumerate(v))
+
+
 def optimal_sigma_algebra(m: FiniteModel, sub: SubmodelRef) -> Partition:
     """The partition of the optimal sigma-algebra of the submodel.
 
-    The atoms are the classes of points with equal coordinates across a
-    basis of the kernel of W, the rows (h(x) P(x))_x over zero-unbiased h
-    and submodel members P, each scaled to integers (which changes neither
-    the kernel nor which sums vanish).  Before they are returned, every
-    row of W is re-checked to sum to zero over every atom (each atom is in
-    the sigma-algebra) and the atom count to equal the kernel dimension
-    (no finer partition fits); a failure raises ``CertificateError``.
+    The integer member rows are reduced once to rows red_t with pivot
+    columns pi_t and pivot value d.  At a support point x the first member
+    with mass there fixes f(x) = a_x . g, where g = f|pi, and each other
+    member gives one integer constraint row on g; off-support points are
+    singleton atoms.  The atoms are the classes of equal (a_x . g_j)_j over
+    a kernel basis g_j of the constraints.
+
+    The atoms are re-checked exactly, trusting no kernel routine: red is
+    d times the identity on the pivots, P has rank len(pi) modulo a prime,
+    and P_i * 1_A passes the membership test for every member and atom
+    (summed over the atoms, so does P_i: the reduced rows span the row
+    space), so each atom is in the sigma-algebra; and the atom count
+    equals the off-support count plus len(pi) minus the constraint rank
+    modulo the prime, an upper bound on the dimension, so no finer
+    partition fits.  A failure raises ``CertificateError``.
     """
-    hs = [linalg.clear_denominators(h.values) for h in zero_unbiased_basis(m, sub)]
+    sub.validate(m)
     ps = [linalg.clear_denominators(m.prob[i]) for i in sub.param_indices]
-    rows = [tuple(a * b for a, b in zip(h, p)) for h in hs for p in ps]
-    basis = linalg.kernel_basis(rows, m.num_points)
-    part = Partition(tuple(zip(*basis)))
-    blocks = part.blocks()
-    if len(blocks) != len(basis) or any(sum(row[x] for x in b) for row in rows for b in blocks):
+    red, pivots, d = linalg._eliminate(ps, reduce=True)
+    r = len(pivots)
+    cols = list(zip(*red[:r]))
+    first = [next((i for i, p in enumerate(ps) if p[x]), None) for x in range(m.num_points)]
+    constraints: dict[tuple[int, ...], None] = {}
+    for x, i0 in enumerate(first):
+        if i0 is not None:
+            p0 = ps[i0]
+            for p in ps:
+                row = tuple((p[x] * p0[pc] - p0[x] * p[pc]) * c for pc, c in zip(pivots, cols[x]))
+                if any(row):
+                    constraints[row] = None
+    rows = list(constraints)
+    gs = [linalg.clear_denominators(g) for g in linalg.kernel_basis(rows, r)]
+    weights = [[[p[pc] * g[t] for t, pc in enumerate(pivots)] for g in gs] for p in ps]
+    labels: list = []
+    for x, i0 in enumerate(first):
+        if i0 is None:
+            labels.append(x)
+            continue
+        key = (ps[i0][x], *(sum(w * c for w, c in zip(ws, cols[x])) for ws in weights[i0]))
+        g = gcd(*key)
+        labels.append(tuple(v // g for v in key))
+    part = Partition(tuple(labels))
+    bid = part.block_id
+    if not (
+        all(red[t][pc] == (d if s == t else 0) for t in range(r) for s, pc in enumerate(pivots))
+        and _rank_mod_prime(ps) == r
+        and all(
+            _in_row_space([v if bid[x] == b else 0 for x, v in enumerate(p)], red, pivots, d)
+            for p in ps
+            for b in range(part.num_blocks)
+        )
+        and part.num_blocks == first.count(None) + r - _rank_mod_prime(rows)
+    ):
         raise CertificateError(
-            "optimal partition failed its exact re-check (W 1_A = 0 per atom, atoms = dim ker W)"
+            "optimal partition failed its exact re-check (P_i 1_A in the row space of P per atom, "
+            "atoms = off-support points + rank P - rank of the constraints mod p)"
         )
     return part
 

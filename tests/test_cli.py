@@ -400,7 +400,7 @@ class TestCommands:
         assert "status: conclusion-fails-with-hypothesis-gap" in out
         assert "  - base-single-distribution: fail" in out
 
-    @pytest.mark.parametrize("name", ["trivial", "min", "max", "min-max"])
+    @pytest.mark.parametrize("name", ["trivial", "min", "max", "min-max", "optimal"])
     def test_verify_unknown_truncation_builtin_partitions(self, capsys, tmp_path, name):
         doc = {"points": ["1", "2", "3"], "params": ["u"], "prob": [["1/3", "1/6", "1/2"]]}
         path = tmp_path / "chain.model"
@@ -411,9 +411,34 @@ class TestCommands:
             "--model", str(path), "--events", "intervals", "--n", "2", "--partition", name,
         )
         report = json.loads(out)
-        # one distribution: only the trivial partition is complete sufficient
-        assert (code, report["status"]) == ((0, "verified") if name == "trivial" else (2, "hypothesis-unmet"))
-        assert [h["verdict"] for h in report["hypotheses"]] == ["pass", "pass" if name == "trivial" else "fail"]
+        # one distribution: only the trivial partition is complete sufficient,
+        # and it is the optimal one
+        holds = name in ("trivial", "optimal")
+        assert (code, report["status"]) == ((0, "verified") if holds else (2, "hypothesis-unmet"))
+        assert [h["verdict"] for h in report["hypotheses"]] == ["pass", "pass" if holds else "fail"]
+
+    @pytest.mark.parametrize(
+        "prob, status",
+        [
+            # three coin biases: the optimal partition of two tosses is the sum
+            ([["4/5", "1/5"], ["3/4", "1/4"], ["2/3", "1/3"]], "verified"),
+            # overlapping uniforms: the optimal partition is complete but not sufficient
+            ([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]], "conclusion-fails-with-hypothesis-gap"),
+        ],
+        ids=["sufficient", "not-sufficient"],
+    )
+    def test_verify_unknown_truncation_optimal_partition(self, capsys, tmp_path, prob, status):
+        doc = {"points": [str(x) for x in range(len(prob[0]))], "params": [f"t{i}" for i in range(len(prob))], "prob": prob}
+        path = tmp_path / "base.model"
+        save_model_file(str(path), doc)
+        code, out, _ = invoke(
+            capsys,
+            "--json", "verify", "unknown-truncation",
+            "--model", str(path), "--events", "uprays", "--n", "2", "--partition", "optimal",
+        )
+        report = json.loads(out)
+        assert (code, report["status"]) == (0 if status == "verified" else 2, status)
+        assert [h["verdict"] for h in report["hypotheses"]] == ["pass", "pass" if status == "verified" else "fail"]
 
     def test_verify_unknown_truncation_document_partition_wins(self, capsys, tmp_path):
         # a document partition of the power space named like a built-in

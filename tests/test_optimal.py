@@ -49,8 +49,8 @@ def bernoulli_grid():
 
 def oracle_optimal_sigma(m, sub):
     """The optimal partition by enumerating all 2^n subsets in Gray-code
-    order with running orthogonality sums (the engine's former algorithm,
-    kept as the reference for the kernel route)."""
+    order with running orthogonality sums (the engine's first algorithm,
+    kept as a reference)."""
     n = m.num_points
     wrows = [
         linalg.clear_denominators([v * p for v, p in zip(h.values, m.prob[i])])
@@ -91,6 +91,22 @@ def oracle_optimal_sigma(m, sub):
     if len(members) != 1 << num_atoms:
         raise RuntimeError("orthogonal family is not a sigma-algebra; this is a bug")
     return Partition(tuple(atom))
+
+
+def oracle_dense_w_sigma(m, sub):
+    """The optimal partition from the kernel of the dense matrix W, the rows
+    (h(x) P(x))_x over a zero-unbiased basis h and the members P (the
+    engine's former route, kept verbatim as the reference for the row
+    space route)."""
+    hs = [linalg.clear_denominators(h.values) for h in zero_unbiased_basis(m, sub)]
+    ps = [linalg.clear_denominators(m.prob[i]) for i in sub.param_indices]
+    rows = [tuple(a * b for a, b in zip(h, p)) for h in hs for p in ps]
+    basis = linalg.kernel_basis(rows, m.num_points)
+    part = Partition(tuple(zip(*basis)))
+    blocks = part.blocks()
+    if len(blocks) != len(basis) or any(sum(row[x] for x in b) for row in rows for b in blocks):
+        raise RuntimeError("dense W partition failed its re-check; this is a bug")
+    return part
 
 
 def model_with_null_points(rng, n, k, zero_share):
@@ -177,6 +193,42 @@ class TestOptimalSigmaAlgebra:
             sub = SubmodelRef(tuple(sorted(rng.sample(range(k), rng.randint(1, k)))))
             assert optimal_sigma_algebra(m, sub) == oracle_optimal_sigma(m, sub)
 
+    def test_row_space_route_matches_dense_w_oracle(self):
+        rng = random.Random(43)
+        for _ in range(1500):
+            m = model_with_null_points(rng, rng.randint(1, 9), rng.randint(1, 5), 0.35)
+            if m.num_params > 1 and rng.random() < 0.3:
+                # a member repeated under a second label
+                m = FiniteModel(m.points, m.params + ("copy",), m.prob + (rng.choice(m.prob),))
+            k = m.num_params
+            sub = SubmodelRef(tuple(sorted(rng.sample(range(k), rng.randint(1, k)))))
+            assert optimal_sigma_algebra(m, sub) == oracle_dense_w_sigma(m, sub)
+
+    def test_every_registry_submodel_matches_dense_w_oracle(self):
+        for ce in ("CE52", "CE53", "CE54", "CE55"):
+            e = fc.load(ce)
+            for m in (e.model, *e.components.values()):
+                for k in range(1, m.num_params + 1):
+                    for idx in itertools.combinations(range(m.num_params), k):
+                        sub = SubmodelRef(idx)
+                        assert optimal_sigma_algebra(m, sub) == oracle_dense_w_sigma(m, sub)
+
+    def test_coin_powers_match_dense_w_oracle(self):
+        base = coin_family("1/3", "1/2", "2/3")
+        for n in range(1, 7):
+            m = power_model(base, n)
+            sub = SubmodelRef.full(m)
+            assert optimal_sigma_algebra(m, sub) == oracle_dense_w_sigma(m, sub)
+
+    def test_nine_bias_coin_power_gives_the_sum_partition(self):
+        # the sum of 8 tosses is binomial: a function h of it with zero mean
+        # under 9 distinct biases p gives a degree-8 polynomial in p/(1-p)
+        # with 9 roots (a Vandermonde system), so h = 0 and the sum is
+        # complete sufficient; the optimal partition is then its partition
+        m = power_model(coin_family(*(Fraction(i, 10) for i in range(1, 10))), 8)
+        by_sum = Partition(tuple(sum(t) for t in itertools.product((0, 1), repeat=8)))
+        assert optimal_sigma_algebra(m, SubmodelRef.full(m)) == by_sum
+
     def test_iid_power_past_the_former_guard(self, capsys, tmp_path):
         # 32 points; six distinct biases make the sum complete for five tosses
         m = power_model(coin_family("1/7", "1/5", "1/3", "1/2", "2/3", "4/5"), 5)
@@ -223,29 +275,69 @@ class TestOptimalSigmaAlgebra:
                             assert part.block_id[x] == part.block_id[y]
 
 
+def _unit_outside_kernel(rows, width):
+    """The unit vector of the first column with a nonzero entry."""
+    t = next(t for t in range(width) if any(row[t] for row in rows))
+    return tuple(Fraction(int(s == t)) for s in range(width))
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [lambda b: [(b[0][0] + 1,) + b[0][1:]] + b[1:], lambda b: b[:-1], lambda b: [v[::-1] for v in b]],
-    ids=["perturbed", "truncated", "reversed"],
+    [
+        lambda b, rows, width: [],
+        lambda b, rows, width: b + [_unit_outside_kernel(rows, width)],
+        lambda b, rows, width: [(b[0][0] + 1,) + b[0][1:]] + b[1:],
+        lambda b, rows, width: [v[::-1] for v in b],
+    ],
+    ids=["empty", "extra-unit", "perturbed", "reversed"],
 )
-def test_corrupted_kernel_is_never_a_partition(capsys, monkeypatch, corrupt):
+def test_corrupted_kernel_is_never_a_partition(capsys, monkeypatch, tmp_path, corrupt):
+    # the optimal partition here is (0, 0, 0, 1) and the constraints on the
+    # pivot values are not empty, so each corruption changes the atoms: an
+    # empty basis merges them, while a unit vector outside the kernel, a
+    # perturbed or a reversed basis splits them
+    m = FiniteModel(
+        ("a", "b", "c", "d"),
+        ("uniform", "point", "mix"),
+        (
+            (Fraction(1, 4),) * 4,
+            (0, 0, 0, Fraction(1)),
+            (Fraction(1, 2), Fraction(1, 4), 0, Fraction(1, 4)),
+        ),
+    )
+    assert optimal_sigma_algebra(m, SubmodelRef.full(m)).block_id == (0, 0, 0, 1)
     genuine = linalg.kernel_basis
-
-    def fake(rows, width):
-        basis = genuine(rows, width)
-        # each row h P of W sums to P(h) = 0, while the expectation rows
-        # behind the zero-unbiased basis sum to one
-        return corrupt(basis) if rows and all(sum(r) == 0 for r in rows) else basis
-
-    monkeypatch.setattr(linalg, "kernel_basis", fake)
-    e = fc.load("CE55")
+    monkeypatch.setattr(linalg, "kernel_basis", lambda rows, width: corrupt(genuine(rows, width), rows, width))
     with pytest.raises(CertificateError):
-        optimal_sigma_algebra(e.model, SubmodelRef.of(2, 3))
-    model = os.path.join(os.path.dirname(__file__), "..", "registry", "ce55.model")
-    assert run(["--json", "optimal-sigma", "--model", model, "--sub", "theta1=2"]) == 3
+        optimal_sigma_algebra(m, SubmodelRef.full(m))
+    path = tmp_path / "mix.model"
+    save_model_file(str(path), model_to_dict(m))
+    assert run(["--json", "optimal-sigma", "--model", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err and "re-check" in captured.err
+
+
+def test_wrong_atoms_of_the_right_count_fail_the_membership_check(monkeypatch):
+    # swapping the first two coordinates of each kernel vector gives atoms
+    # (0, 1, 1, 0) instead of (0, 1, 0, 0): the count still matches, so only
+    # the row space membership of P_i 1_A can reject them
+    m = FiniteModel(
+        ("a", "b", "c", "d"),
+        ("t0", "t1", "t2"),
+        (
+            (Fraction(2, 7), Fraction(1, 7), 0, Fraction(4, 7)),
+            (Fraction(1, 5), Fraction(2, 5), 0, Fraction(2, 5)),
+            (Fraction(1, 7), Fraction(1, 7), Fraction(4, 7), Fraction(1, 7)),
+        ),
+    )
+    assert optimal_sigma_algebra(m, SubmodelRef.full(m)).block_id == (0, 1, 0, 0)
+    genuine = linalg.kernel_basis
+    monkeypatch.setattr(
+        linalg, "kernel_basis", lambda rows, width: [(v[1], v[0]) + v[2:] for v in genuine(rows, width)]
+    )
+    with pytest.raises(CertificateError):
+        optimal_sigma_algebra(m, SubmodelRef.full(m))
 
 
 class TestOptimalityChecks:

@@ -27,6 +27,7 @@ from fincomplete import (
     verify_unknown_truncation,
 )
 from fincomplete.errors import ExhaustionError, GridError
+from fincomplete.model import flatten_label
 from fincomplete.reports import (
     STATUS_CONCLUSION_FAILS,
     STATUS_HYPOTHESIS_UNMET,
@@ -414,3 +415,103 @@ class TestTruncationExhaustions:
         by_event.validate(model)
         by_param.validate(model)
         assert len(by_param.pieces) == 2
+
+
+def _random_rows(rng, points, params):
+    return random_chain_base(rng, points, params).prob
+
+
+def _random_grid_model(rng):
+    """A model on a full product grid of 2-tuple parameters: either the
+    product of two random families or random rows on the grid."""
+    na, nb = rng.randint(1, 3), rng.randint(1, 3)
+    if rng.random() < 0.5:
+        a = FiniteModel(("0", "1"), tuple(str(i) for i in range(na)), _random_rows(rng, 2, na))
+        b = FiniteModel(("0", "1"), tuple(str(j) for j in range(nb)), _random_rows(rng, 2, nb))
+        return product_model(a, b), list(coordinate_partitions(a, b))
+    points = rng.randint(2, 5)
+    params = tuple((str(i), str(j)) for i in range(na) for j in range(nb))
+    return FiniteModel(tuple(str(x) for x in range(points)), params, _random_rows(rng, points, na * nb)), []
+
+
+def _random_partition(rng, m, extra):
+    """A structured partition of the model's points (trivial, discrete,
+    minimal sufficient, optimal, or one of ``extra``) or random labels."""
+    full = SubmodelRef.full(m)
+    choices = [
+        Partition.trivial(m.num_points),
+        Partition.discrete(m.num_points),
+        fc.minimal_sufficient_partition(m, full),
+        fc.optimal_sigma_algebra(m, full),
+        Partition(tuple(rng.randrange(3) for _ in range(m.num_points))),
+        *extra,
+    ]
+    return rng.choice(choices)
+
+
+def _random_exhaustion(rng, m, coord):
+    return Exhaustion.by_coordinate(m, coord) if rng.random() < 0.8 else Exhaustion.single(m)
+
+
+def _weight(rng, m):
+    """A nonnegative weight that gives the first member positive mass, so it
+    never annihilates the model."""
+    values = [Fraction(rng.choice((0, 1, 1, 2, 3))) for _ in range(m.num_points)]
+    if not any(v for v, p in zip(values, m.prob[0]) if p):
+        values = [Fraction(1)] * m.num_points
+    return RationalFunction(tuple(values))
+
+
+def _verifier_reports(rng):
+    """One report of each of the nine verifiers, every mode and the weak
+    form, on seeded random valid inputs."""
+    m, coords = _random_grid_model(rng)
+    c1, c2 = (_random_partition(rng, m, coords) for _ in range(2))
+    family = [(c1, _random_exhaustion(rng, m, 1)), (c2, _random_exhaustion(rng, m, 0))]
+    yield verify_joint_completeness(m, family if rng.random() < 0.8 else family[:1])
+    yield verify_two_block_grid(m, c1, c2)
+    yield verify_cks_rewrite(m, c1, c2)
+    for mode in ("sufficient", "minimal", "complete"):
+        yield verify_homogeneous_connected(m, family, mode)
+    yield verify_homogeneous_connected(m, family, "sufficient", weak=True)
+    for mode in ("a", "b"):
+        yield verify_smith(m, c1, _weight(rng, m), mode)
+    g = RationalFunction(tuple(Fraction(rng.randint(-2, 2)) for _ in range(m.num_points)))
+    if rng.random() < 0.5:
+        # constant on the optimal atoms, so often optimal in every piece
+        part = fc.optimal_sigma_algebra(m, SubmodelRef.full(m))
+        g = RationalFunction(tuple(g.values[part.blocks()[b][0]] for b in part.block_id))
+    yield verify_bondesson(m, family[0][1], g)
+    na = len({flatten_label(lab)[0] for lab in m.params})
+    q = FiniteModel(("0", "1"), tuple(str(i) for i in range(na)), _random_rows(rng, 2, na))
+    r = FiniteModel(("0", "1"), m.params, _random_rows(rng, 2, m.num_params))
+    yield verify_cks(q, r)
+    points, n = rng.randint(2, 4), rng.randint(1, 2)
+    m0 = random_chain_base(rng, points, rng.randint(1, 3))
+    events = rng.choice((fc.interval_events, fc.upray_events, fc.downray_events))(points)
+    yield verify_truncation_family(m0, events, n)
+    powered = power_model(m0, n)
+    c = rng.choice(
+        (
+            Partition.trivial(powered.num_points),
+            fc.min_partition(m0, n),
+            fc.max_partition(m0, n),
+            fc.min_max_partition(m0, n),
+            fc.optimal_sigma_algebra(powered, SubmodelRef.full(powered)),
+            Partition(tuple(rng.randrange(3) for _ in range(powered.num_points))),
+        )
+    )
+    yield verify_unknown_truncation(m0, c, events, n)
+
+
+def test_no_verifier_reports_theorem_violated_on_random_valid_inputs():
+    # theorem-violated would claim that a proved theorem is false
+    rng = random.Random(97)
+    statuses: dict[str, set[str]] = {}
+    for _ in range(600):
+        for report in _verifier_reports(rng):
+            assert report.status != STATUS_THEOREM_VIOLATED, report
+            statuses.setdefault(report.theorem, set()).add(report.status)
+    # nine verifiers; hom-connected and smith name their modes
+    assert len(statuses) == 12
+    assert all(STATUS_VERIFIED in s for s in statuses.values())
