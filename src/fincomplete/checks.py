@@ -9,9 +9,11 @@ nontrivial kernel vector, lifted to a block-constant function, is a
 certificate of incompleteness (its expectations vanish yet it is nonzero on
 the support union).
 
-Block masses are integer rows, built once per call: each member's row is
-scaled to integers and its block masses summed in ``int``, which keeps
-rank, kernel and every cross-multiplication.
+Every per-block check reads integer block masses, built once per call by
+``_block_masses``: each member's row is scaled to integers and its block
+masses summed in ``int``, which keeps rank, kernel and every
+cross-multiplication.  A mass in a witness is the integer mass over its
+row's scale, a ``Fraction``.
 
 All witnesses are minimal in a fixed scan order (first failing block, then
 point, then parameter pair), so reports are reproducible byte for byte.
@@ -200,18 +202,18 @@ def _first_disagreeing_pair(p: Partition, q: Partition, su: frozenset[int]) -> t
 
 
 def is_ancillary(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
-    """Ancillarity: every block mass is constant across the submodel."""
-    sub.validate(m)
+    """Ancillarity: every block mass is constant across the submodel.
+    Masses are compared by cross-multiplying with the row scales; a block
+    of mass zero under every member never fails."""
+    scales, _, live, rows = _block_masses(c, m, sub)
     idx = sub.param_indices
-    for block in c.blocks():
-        first = m.event_mass(idx[0], block)
-        for j in idx[1:]:
-            other = m.event_mass(j, block)
-            if other != first:
+    for k, b in enumerate(live):
+        for j in range(1, len(idx)):
+            if rows[j][k] * scales[0] != rows[0][k] * scales[j]:
                 witness = {
-                    "block": tuple(m.points[y] for y in block),
-                    "params": (m.params[idx[0]], m.params[j]),
-                    "masses": (first, other),
+                    "block": tuple(m.points[y] for y in c.blocks()[b]),
+                    "params": (m.params[idx[0]], m.params[idx[j]]),
+                    "masses": (Fraction(rows[0][k], scales[0]), Fraction(rows[j][k], scales[j])),
                 }
                 return CheckReport("ancillary", VERDICT_FAIL, witness, ())
     return CheckReport("ancillary", VERDICT_PASS, None, ())
@@ -220,23 +222,26 @@ def is_ancillary(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
 def are_independent(
     c1: Partition, c2: Partition, m: FiniteModel, sub: SubmodelRef
 ) -> CheckReport:
-    """Independence of two partitions under every submodel member."""
+    """Independence of two partitions under every submodel member.  On a
+    member's row scaled to integers by ``s``, P(B1 & B2) = P(B1) P(B2)
+    reads s joint = p1 p2."""
     sub.validate(m)
     blocks1 = [set(b) for b in c1.blocks()]
     blocks2 = [set(b) for b in c2.blocks()]
     for i in sub.param_indices:
+        s, ints = linalg.scale_to_integers(m.prob[i])
         for b1 in blocks1:
-            p1 = m.event_mass(i, b1)
+            p1 = sum(ints[x] for x in b1)
             for b2 in blocks2:
-                p2 = m.event_mass(i, b2)
-                joint = m.event_mass(i, b1 & b2)
-                if joint != p1 * p2:
+                p2 = sum(ints[x] for x in b2)
+                joint = sum(ints[x] for x in b1 & b2)
+                if joint * s != p1 * p2:
                     witness = {
                         "block1": tuple(m.points[y] for y in sorted(b1)),
                         "block2": tuple(m.points[y] for y in sorted(b2)),
                         "param": m.params[i],
-                        "joint": joint,
-                        "product": p1 * p2,
+                        "joint": Fraction(joint, s),
+                        "product": Fraction(p1 * p2, s * s),
                     }
                     return CheckReport("independent", VERDICT_FAIL, witness, ())
     return CheckReport("independent", VERDICT_PASS, None, ())
@@ -255,6 +260,23 @@ def is_homogeneous(m: FiniteModel, sub: SubmodelRef) -> CheckReport:
             witness = {"params": (m.params[idx[0]], m.params[j]), "point": m.points[x]}
             return CheckReport("homogeneous", VERDICT_FAIL, witness, ())
     return CheckReport("homogeneous", VERDICT_PASS, None, ())
+
+
+# the properties of one partition, by name, and the check of this module
+# that decides each; ``check_partition`` looks the check up when called, so
+# rebinding the module attribute (as ``bench/tracer.py`` does) reaches it
+PARTITION_CHECKS = {
+    "complete": "is_complete",
+    "boundedly-complete": "is_boundedly_complete",
+    "sufficient": "is_sufficient",
+    "minimal-sufficient": "is_minimal_sufficient",
+    "ancillary": "is_ancillary",
+}
+
+
+def check_partition(prop: str, c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
+    """Decide the one-partition property named ``prop``."""
+    return globals()[PARTITION_CHECKS[prop]](c, m, sub)
 
 
 def basu_consistency(

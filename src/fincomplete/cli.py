@@ -19,14 +19,11 @@ from typing import Callable
 from . import registry as registry_mod
 from . import search as search_mod
 from .checks import (
+    PARTITION_CHECKS,
     are_independent,
     basu_consistency,
-    is_ancillary,
-    is_boundedly_complete,
-    is_complete,
+    check_partition,
     is_homogeneous,
-    is_minimal_sufficient,
-    is_sufficient,
     minimal_sufficient_partition,
 )
 from .errors import (
@@ -38,10 +35,9 @@ from .errors import (
     StabilityError,
 )
 from .model import (
+    EVENT_KINDS,
     Partition,
     SubmodelRef,
-    downray_events,
-    interval_events,
     max_partition,
     min_max_partition,
     min_partition,
@@ -49,7 +45,6 @@ from .model import (
     power_model,
     product_model,
     truncated_family,
-    upray_events,
     validate_model,
     weighted_model,
 )
@@ -98,16 +93,7 @@ EXIT_FAIL = 1
 EXIT_UNMET = 2
 EXIT_INPUT = 3
 
-PROPERTIES = (
-    "complete",
-    "boundedly-complete",
-    "sufficient",
-    "minimal-sufficient",
-    "ancillary",
-    "homogeneous",
-    "independent",
-    "basu",
-)
+PROPERTIES = (*PARTITION_CHECKS, "homogeneous", "independent", "basu")
 
 THEOREMS = (
     "joint-completeness",
@@ -120,12 +106,6 @@ THEOREMS = (
     "smith",
     "bondesson",
 )
-
-EVENT_KINDS = {
-    "intervals": interval_events,
-    "uprays": upray_events,
-    "downrays": downray_events,
-}
 
 # partitions of the n-fold power space that ``verify unknown-truncation``
 # accepts by name, as functions of (base model, n); "optimal" is always
@@ -205,14 +185,7 @@ def _cmd_check(args) -> int:
     elif prop == "basu":
         report = basu_consistency(part(args.partition, "--partition"), part(args.partition2, "--partition2"), m, sub)
     else:
-        fns = {
-            "complete": is_complete,
-            "boundedly-complete": is_boundedly_complete,
-            "sufficient": is_sufficient,
-            "minimal-sufficient": is_minimal_sufficient,
-            "ancillary": is_ancillary,
-        }
-        report = fns[prop](part(args.partition, "--partition"), m, sub)
+        report = check_partition(prop, part(args.partition, "--partition"), m, sub)
     return _emit_check(report, m, args.json)
 
 

@@ -90,10 +90,6 @@ class FiniteModel:
     def support(self, theta: int) -> tuple[int, ...]:
         return tuple(x for x, p in enumerate(self.prob[theta]) if p > 0)
 
-    def event_mass(self, theta: int, points: Iterable[int]) -> Fraction:
-        row = self.prob[theta]
-        return sum((row[x] for x in points), Fraction(0))
-
     def expectation(self, theta: int, values: Sequence[Fraction]) -> Fraction:
         row = self.prob[theta]
         return sum((v * p for v, p in zip(values, row)), Fraction(0))
@@ -379,11 +375,12 @@ def conditional_expectation(
     ``theta``.  Blocks of mass zero get the value 0; conditional
     expectations are only almost surely defined, and a fixed convention
     keeps outputs deterministic."""
+    ints = linalg.clear_denominators(m.prob[theta])
     values = [Fraction(0)] * m.num_points
     for block in c.blocks():
-        mass = m.event_mass(theta, block)
+        mass = sum(ints[x] for x in block)
         if mass > 0:
-            avg = sum((h.values[x] * m.prob[theta][x] for x in block), Fraction(0)) / mass
+            avg = sum((h.values[x] * ints[x] for x in block), Fraction(0)) / mass
             for x in block:
                 values[x] = avg
     return RationalFunction(tuple(values))
@@ -514,11 +511,12 @@ def truncated_family(
     params = []
     rows = []
     for i, powered_row in enumerate(powered.prob):
+        s, ints = linalg.scale_to_integers(m0.prob[i])
         for e, mask in zip(evs, masks):
-            emass = m0.event_mass(i, e)
+            emass = sum(ints[x] for x in e)
             if emass == 0:
                 continue
-            scale = emass**n
+            scale = Fraction(emass, s) ** n
             rows.append(tuple(p / scale if inside else zero for p, inside in zip(powered_row, mask)))
             params.append(combine_labels(m0.params[i], event_label(m0, e)))
     if not rows:
@@ -540,6 +538,10 @@ def upray_events(n: int) -> list[frozenset[int]]:
 def downray_events(n: int) -> list[frozenset[int]]:
     """All nonempty downward-closed subsets of the chain 0..n-1."""
     return [frozenset(range(0, b + 1)) for b in range(n)]
+
+
+# the event lists of a chain of n points, by name
+EVENT_KINDS = {"intervals": interval_events, "uprays": upray_events, "downrays": downray_events}
 
 
 def min_max_partition(m0: FiniteModel, n: int) -> Partition:

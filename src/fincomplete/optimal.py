@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .checks import _block_masses, is_sufficient
+from .checks import _block_masses, _sufficient, is_sufficient
 from .errors import CertificateError, ExhaustionError, NotSufficientError
 from .model import (
     FiniteModel,
@@ -152,6 +152,11 @@ def optimal_sigma_algebra(m: FiniteModel, sub: SubmodelRef) -> Partition:
     equals the off-support count plus len(pi) minus the constraint rank
     modulo the prime, an upper bound on the dimension, so no finer
     partition fits.  A failure raises ``CertificateError``.
+
+    When d != 0 the rank and membership clauses already imply the pivot
+    identity: d P = M red with M = P|pi and rank P >= len(pi) forces M to
+    full column rank, and then d M = M R, R = red|pi, gives R = d I.  The
+    clause stays as a direct check.
     """
     sub.validate(m)
     ps = [linalg.clear_denominators(m.prob[i]) for i in sub.param_indices]
@@ -304,24 +309,24 @@ def rao_blackwell(
     submodel member get the value 0.  Raises when the partition is not
     sufficient: the operation is undefined otherwise.
     """
-    suff = is_sufficient(c, m, sub)
+    _, points, live, rows = _block_masses(c, m, sub)
+    suff = _sufficient(c, m, sub, points, live, rows)
     if not suff.passed:
         raise NotSufficientError(f"partition is not sufficient: witness {suff.witness}")
     values = [Fraction(0)] * m.num_points
-    for block in c.blocks():
+    blocks = c.blocks()
+    for k, b in enumerate(live):
         avg = None
-        for i in sub.param_indices:
-            mass = m.event_mass(i, block)
-            if mass == 0:
+        for ints, row in zip(points, rows):
+            if row[k] == 0:
                 continue
-            candidate = sum((g.values[x] * m.prob[i][x] for x in block), Fraction(0)) / mass
+            candidate = sum((g.values[x] * ints[x] for x in blocks[b]), Fraction(0)) / row[k]
             if avg is None:
                 avg = candidate
             elif candidate != avg:
                 raise AssertionError("sufficiency check passed but averages differ")
-        if avg is not None:
-            for x in block:
-                values[x] = avg
+        for x in blocks[b]:
+            values[x] = avg
     return RationalFunction(tuple(values))
 
 

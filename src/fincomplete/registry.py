@@ -32,15 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .checks import (
-    is_ancillary,
-    is_boundedly_complete,
-    is_complete,
-    is_homogeneous,
-    is_minimal_sufficient,
-    is_sufficient,
-    minimal_sufficient_partition,
-)
+from .checks import check_partition, is_homogeneous, minimal_sufficient_partition
 from .errors import InputError
 from .model import (
     FiniteModel,
@@ -573,14 +565,7 @@ def execute_row(entry: RegistryEntry, row: ExpectedRow) -> dict:
         if prop == "homogeneous":
             return _check_result(is_homogeneous(m, sub), m)
         part = _resolve_partition(entry, m, row.args["partition"])
-        fns = {
-            "complete": is_complete,
-            "boundedly-complete": is_boundedly_complete,
-            "sufficient": is_sufficient,
-            "minimal-sufficient": is_minimal_sufficient,
-            "ancillary": is_ancillary,
-        }
-        return _check_result(fns[prop](part, m, sub), m)
+        return _check_result(check_partition(prop, part, m, sub), m)
     if op == "minimal_partition":
         sub = parse_submodel(m, row.args["sub"])
         return {"block_id": list(minimal_sufficient_partition(m, sub).block_id)}

@@ -27,18 +27,16 @@ from . import verify
 from .checks import is_complete
 from .errors import GenerationError
 from .model import (
+    EVENT_KINDS,
     FiniteModel,
     Partition,
     RationalFunction,
     SubmodelRef,
     coordinate_partitions,
-    downray_events,
-    interval_events,
     partition_from_statistic,
     power_model,
     product_model,
     truncated_family,
-    upray_events,
     weighted_model,
 )
 from .optimal import exists_complete_sufficient
@@ -167,13 +165,6 @@ def _product_instance(rng: random.Random, cfg: GenConfig) -> MainInstance:
     return MainInstance(model, ((c1, exh1), (c2, exh2)), "product")
 
 
-_EVENT_KINDS: dict[str, Callable[[int], list[frozenset[int]]]] = {
-    "intervals": interval_events,
-    "uprays": upray_events,
-    "downrays": downray_events,
-}
-
-
 def _truncation_instance(rng: random.Random, cfg: GenConfig) -> MainInstance:
     # sizes keep the truncated family within 8 parameters and 64 points
     kind = rng.choice(("uprays", "downrays", "intervals"))
@@ -185,7 +176,7 @@ def _truncation_instance(rng: random.Random, cfg: GenConfig) -> MainInstance:
         tuple(f"t{i}" for i in range(k0)),
         tuple(_draw_row(rng, cfg.mass_grid, base_points, True) for _ in range(k0)),
     )
-    events = _EVENT_KINDS[kind](base_points)
+    events = EVENT_KINDS[kind](base_points)
     powered = power_model(base, n)
     if k0 == 1:
         c = Partition.trivial(powered.num_points)

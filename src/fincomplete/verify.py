@@ -16,6 +16,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 from .checks import (
+    _block_masses,
     is_ancillary,
     is_complete,
     is_complete_sufficient,
@@ -267,16 +268,16 @@ def verify_cks(q: FiniteModel, r: FiniteModel) -> TheoremReport:
 def _marginal_support_report(m: FiniteModel, c: Partition, sub: SubmodelRef) -> CheckReport:
     """Homogeneity of the restricted family: supports of the block-mass
     vectors must agree across the submodel."""
-    blocks = c.blocks()
+    _, _, live, rows = _block_masses(c, m, sub)
     idx = sub.param_indices
-    base = tuple(m.event_mass(idx[0], b) > 0 for b in blocks)
-    for j in idx[1:]:
-        other = tuple(m.event_mass(j, b) > 0 for b in blocks)
+    base = [v > 0 for v in rows[0]]
+    for j in range(1, len(idx)):
+        other = [v > 0 for v in rows[j]]
         if other != base:
-            bnum = next(k for k in range(len(blocks)) if base[k] != other[k])
+            k = next(k for k in range(len(live)) if base[k] != other[k])
             witness = {
-                "block": tuple(m.points[y] for y in blocks[bnum]),
-                "params": (m.params[idx[0]], m.params[j]),
+                "block": tuple(m.points[y] for y in c.blocks()[live[k]]),
+                "params": (m.params[idx[0]], m.params[idx[j]]),
             }
             return CheckReport("restricted-homogeneous", VERDICT_FAIL, witness, ())
     return CheckReport("restricted-homogeneous", VERDICT_PASS, None, ())
@@ -338,18 +339,12 @@ def verify_homogeneous_connected(
     mode="sufficient": sufficiency of the second partition is required for
     just one piece of its exhaustion.
     """
-    if mode not in ("sufficient", "minimal", "complete"):
+    checks = {"sufficient": is_sufficient, "minimal": is_minimal_sufficient, "complete": is_complete_sufficient}
+    if mode not in checks:
         raise ValueError(f"unknown mode {mode!r}")
     if weak and (mode != "sufficient" or len(family) != 2):
         raise ValueError("weak form applies to mode='sufficient' with two partitions")
-
-    def piece_check(part: Partition, piece: SubmodelRef) -> CheckReport:
-        if mode == "sufficient":
-            return is_sufficient(part, m, piece)
-        if mode == "minimal":
-            return is_minimal_sufficient(part, m, piece)
-        return is_complete_sufficient(part, m, piece)
-
+    check = checks[mode]
     hyps: list[tuple[str, CheckReport]] = [
         ("homogeneous", is_homogeneous(m, SubmodelRef.full(m))),
         ("connected", _connectedness_report(m, family)),
@@ -359,7 +354,7 @@ def verify_homogeneous_connected(
         exh.validate(m)
         joined = part if joined is None else join(joined, part)
         if weak and i == 1:
-            results = [(eta, piece_check(part, piece)) for eta, piece in exh.pieces]
+            results = [(eta, check(part, m, piece)) for eta, piece in exh.pieces]
             passing = [eta for eta, r in results if r.passed]
             verdict = VERDICT_PASS if passing else VERDICT_FAIL
             notes = tuple(f"piece {eta}: {r.verdict}" for eta, r in results)
@@ -371,16 +366,10 @@ def verify_homogeneous_connected(
             )
             continue
         for eta, piece in exh.pieces:
-            hyps.append((f"C{i + 1} {mode}[{exh.label}={eta}]", piece_check(part, piece)))
+            hyps.append((f"C{i + 1} {mode}[{exh.label}={eta}]", check(part, m, piece)))
     if joined is None:
         raise ExhaustionError("family must contain at least one partition")
-    full = SubmodelRef.full(m)
-    if mode == "sufficient":
-        conclusion = is_sufficient(joined, m, full)
-    elif mode == "minimal":
-        conclusion = is_minimal_sufficient(joined, m, full)
-    else:
-        conclusion = is_complete_sufficient(joined, m, full)
+    conclusion = check(joined, m, SubmodelRef.full(m))
     return TheoremReport(f"homogeneous-connected[{mode}]", tuple(hyps), conclusion)
 
 

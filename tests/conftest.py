@@ -60,6 +60,13 @@ def random_chain_base(rng, points: int, params: int) -> FiniteModel:
     )
 
 
+def oracle_event_mass(m: FiniteModel, theta: int, points) -> Fraction:
+    """The mass of an event summed in ``Fraction``: the engine's former
+    ``FiniteModel.event_mass``, kept for the oracles that used it."""
+    row = m.prob[theta]
+    return sum((row[x] for x in points), Fraction(0))
+
+
 def all_partitions(n: int):
     """Every partition of n points, via restricted growth strings."""
 

@@ -37,6 +37,7 @@ from conftest import (
     bernoulli_pair_grid,
     coin,
     coin_family,
+    oracle_event_mass,
     oracle_is_complete,
     valid_incompleteness_witness,
 )
@@ -59,6 +60,27 @@ def random_small_model(rng, max_points=4, max_params=4):
 
 def random_partition(rng, n):
     return Partition(tuple(rng.randint(0, n - 1) for _ in range(n)))
+
+
+def random_case(rng, max_points=7, max_params=5):
+    """A model, a submodel and a partition for the differential tests.
+    Masses are often zero, so points and blocks can be null under the
+    whole submodel; a member may repeat an earlier one, so block masses
+    can agree; the submodel is often a single member; the partition is
+    trivial, discrete or random."""
+    n, k = rng.randint(1, max_points), rng.randint(1, max_params)
+    rows: list[tuple[Fraction, ...]] = []
+    for _ in range(k):
+        if rows and rng.random() < 0.3:
+            rows.append(rng.choice(rows))
+            continue
+        raw = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n)]
+        raw[rng.randrange(n)] += 1
+        rows.append(tuple(Fraction(w, sum(raw)) for w in raw))
+    m = FiniteModel(tuple(f"x{i}" for i in range(n)), tuple(f"t{i}" for i in range(k)), tuple(rows))
+    size = 1 if rng.random() < 0.2 else rng.randint(1, k)
+    c = rng.choice((Partition.trivial(n), Partition.discrete(n), random_partition(rng, n), random_partition(rng, n)))
+    return m, SubmodelRef(tuple(rng.sample(range(k), size))), c
 
 
 # --- oracles: the engine's former representative scan for the minimal
@@ -102,7 +124,7 @@ def oracle_is_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> Chec
     sub.validate(m)
     idx = sub.param_indices
     for bnum, block in enumerate(c.blocks()):
-        masses = [(i, m.event_mass(i, block)) for i in idx]
+        masses = [(i, oracle_event_mass(m, i, block)) for i in idx]
         positive = [(i, t) for i, t in masses if t > 0]
         for a in range(len(positive)):
             i, ti = positive[a]
@@ -150,7 +172,7 @@ def fraction_is_complete(c: Partition, m: FiniteModel, sub: SubmodelRef) -> Chec
     live = _support_blocks(c, su)
     blocks = c.blocks()
     rows = [
-        tuple(m.event_mass(i, blocks[b]) for b in live) for i in sub.param_indices
+        tuple(oracle_event_mass(m, i, blocks[b]) for b in live) for i in sub.param_indices
     ]
     rank = linalg.fraction_free_rank(rows) if live else 0
     notes = (f"support blocks: {len(live)}", f"rank: {rank}")
@@ -177,7 +199,7 @@ def fraction_is_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> Ch
     """
     sub.validate(m)
     for block in c.blocks():
-        positive = [(i, t) for i in sub.param_indices if (t := m.event_mass(i, block)) > 0]
+        positive = [(i, t) for i in sub.param_indices if (t := oracle_event_mass(m, i, block)) > 0]
         if not positive:
             continue
         i, ti = positive[0]
@@ -191,6 +213,54 @@ def fraction_is_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> Ch
                     }
                     return CheckReport("sufficient", VERDICT_FAIL, witness, ())
     return CheckReport("sufficient", VERDICT_PASS, None, ())
+
+
+# --- oracles: the engine's former ancillarity and independence checks,
+# which summed event masses as Fractions, kept verbatim (event_mass is now
+# oracle_event_mass) as the references for the integer block masses ---
+
+
+def fraction_is_ancillary(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
+    """Ancillarity: every block mass is constant across the submodel."""
+    sub.validate(m)
+    idx = sub.param_indices
+    for block in c.blocks():
+        first = oracle_event_mass(m, idx[0], block)
+        for j in idx[1:]:
+            other = oracle_event_mass(m, j, block)
+            if other != first:
+                witness = {
+                    "block": tuple(m.points[y] for y in block),
+                    "params": (m.params[idx[0]], m.params[j]),
+                    "masses": (first, other),
+                }
+                return CheckReport("ancillary", VERDICT_FAIL, witness, ())
+    return CheckReport("ancillary", VERDICT_PASS, None, ())
+
+
+def fraction_are_independent(
+    c1: Partition, c2: Partition, m: FiniteModel, sub: SubmodelRef
+) -> CheckReport:
+    """Independence of two partitions under every submodel member."""
+    sub.validate(m)
+    blocks1 = [set(b) for b in c1.blocks()]
+    blocks2 = [set(b) for b in c2.blocks()]
+    for i in sub.param_indices:
+        for b1 in blocks1:
+            p1 = oracle_event_mass(m, i, b1)
+            for b2 in blocks2:
+                p2 = oracle_event_mass(m, i, b2)
+                joint = oracle_event_mass(m, i, b1 & b2)
+                if joint != p1 * p2:
+                    witness = {
+                        "block1": tuple(m.points[y] for y in sorted(b1)),
+                        "block2": tuple(m.points[y] for y in sorted(b2)),
+                        "param": m.params[i],
+                        "joint": joint,
+                        "product": p1 * p2,
+                    }
+                    return CheckReport("independent", VERDICT_FAIL, witness, ())
+    return CheckReport("independent", VERDICT_PASS, None, ())
 
 
 _SCALES = (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 2))
@@ -303,7 +373,7 @@ class TestIsComplete:
 
     def test_partition_of_the_wrong_length_is_a_value_error(self):
         m = coin_family("1/3", "1/2")
-        for check in (is_complete, is_sufficient, is_complete_sufficient):
+        for check in (is_complete, is_sufficient, is_complete_sufficient, is_ancillary):
             for c in (Partition((0,)), Partition.discrete(3)):
                 with pytest.raises(ValueError, match="partition has"):
                     check(c, m, SubmodelRef.full(m))
@@ -467,6 +537,14 @@ class TestAncillaryIndependentHomogeneous:
         rep = are_independent(c1, sum_p, m, SubmodelRef.full(m))
         assert rep.failed
         assert rep.witness["joint"] != rep.witness["product"]
+
+    def test_integer_masses_match_fraction_ancillary_and_independent(self):
+        rng = random.Random(61)
+        for _ in range(1500):
+            m, sub, c1 = random_case(rng)
+            c2 = random_partition(rng, m.num_points)
+            assert is_ancillary(c1, m, sub) == fraction_is_ancillary(c1, m, sub)
+            assert are_independent(c1, c2, m, sub) == fraction_are_independent(c1, c2, m, sub)
 
     def test_homogeneous_verdicts(self):
         assert is_homogeneous(coin_family("1/3", "1/2"), SubmodelRef.of(0, 1)).passed

@@ -33,7 +33,15 @@ from fincomplete.model import (
     resolve_size_guard,
 )
 
-from conftest import all_partitions, coin, coin_family, random_chain_base, uniform_chain
+from conftest import (
+    all_partitions,
+    coin,
+    coin_family,
+    oracle_event_mass,
+    random_chain_base,
+    uniform_chain,
+)
+from test_checks import random_case
 
 
 class TestValidateModel:
@@ -271,7 +279,7 @@ class TestConditionalExpectation:
                 ch = conditional_expectation(h, self.c1, m, theta)
                 cg = conditional_expectation(g, self.c1, m, theta)
                 for block in self.c1.blocks():
-                    mass = m.event_mass(theta, block)
+                    mass = oracle_event_mass(m, theta, block)
                     if mass == 0:
                         continue
                     x0 = block[0]
@@ -280,6 +288,31 @@ class TestConditionalExpectation:
                         bumps[x] > 0 and m.prob[theta][x] > 0 for x in block
                     ):
                         assert ch.values[x0] < cg.values[x0]
+
+
+def fraction_conditional_expectation(
+    h: RationalFunction, c: Partition, m: FiniteModel, theta: int
+) -> RationalFunction:
+    """The engine's former conditional expectation, which summed block
+    masses as Fractions, kept verbatim (event_mass is now
+    oracle_event_mass) as the reference for the integer row."""
+    values = [Fraction(0)] * m.num_points
+    for block in c.blocks():
+        mass = oracle_event_mass(m, theta, block)
+        if mass > 0:
+            avg = sum((h.values[x] * m.prob[theta][x] for x in block), Fraction(0)) / mass
+            for x in block:
+                values[x] = avg
+    return RationalFunction(tuple(values))
+
+
+def test_conditional_expectation_on_integer_rows_matches_fraction_sums():
+    rng = random.Random(63)
+    for _ in range(1000):
+        m, _, c = random_case(rng)
+        h = RationalFunction(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m.num_points)))
+        theta = rng.randrange(m.num_params)
+        assert conditional_expectation(h, c, m, theta) == fraction_conditional_expectation(h, c, m, theta)
 
 
 class TestProductAndPower:
@@ -430,7 +463,7 @@ def oracle_truncated_family(
     rows = []
     for i, base_row in enumerate(m0.prob):
         for e in evs:
-            emass = m0.event_mass(i, e)
+            emass = oracle_event_mass(m0, i, e)
             if emass == 0:
                 continue
             scale = emass**n

@@ -38,9 +38,9 @@ from fincomplete.optimal import UmvueResult, _expectation_rows
 from fincomplete.serialization import model_to_dict, save_model_file
 from fincomplete.verify import Exhaustion
 
-from conftest import bernoulli_pair_grid, coin, coin_family
+from conftest import bernoulli_pair_grid, coin, coin_family, oracle_event_mass
 
-from test_checks import models_with_submodels, random_small_model
+from test_checks import models_with_submodels, random_case, random_small_model
 
 
 def bernoulli_grid():
@@ -340,6 +340,44 @@ def test_wrong_atoms_of_the_right_count_fail_the_membership_check(monkeypatch):
         optimal_sigma_algebra(m, SubmodelRef.full(m))
 
 
+def _pivot_at_first_free_column(red, pivots, d):
+    """A reduced form of a larger row space that keeps every clause but the
+    rank: the row d e_j at the first free column j, with column j cleared
+    in the other rows, so the pivots still carry d times the identity and
+    every genuine member of the row space still passes the membership
+    test."""
+    j = next(j for j in range(len(red[0])) if j not in pivots)
+    t = sum(pc < j for pc in pivots)
+    rows = [[0 if x == j else v for x, v in enumerate(row)] for row in red]
+    rows.insert(t, [d if x == j else 0 for x in range(len(red[0]))])
+    return rows, sorted(pivots + [j]), d
+
+
+def test_a_reduction_of_too_high_rank_fails_the_rank_check(monkeypatch):
+    # only the first elimination is the reduction of P; the kernel's own
+    # elimination stays genuine.  Without the rank clause 228 of these 300
+    # models return a wrong partition with no error.
+    rng = random.Random(47)
+    genuine = linalg._eliminate
+    models = []
+    while len(models) < 300:
+        m = model_with_null_points(rng, rng.randint(2, 7), rng.randint(1, 4), 0.3)
+        if len(genuine([linalg.clear_denominators(row) for row in m.prob])[1]) < m.num_points:
+            models.append(m)
+    calls = []
+
+    def fake(rows, reduce=False):
+        calls.append(None)
+        out = genuine(rows, reduce)
+        return _pivot_at_first_free_column(*out) if len(calls) == 1 else out
+
+    monkeypatch.setattr(linalg, "_eliminate", fake)
+    for m in models:
+        calls.clear()
+        with pytest.raises(CertificateError):
+            optimal_sigma_algebra(m, SubmodelRef.full(m))
+
+
 class TestOptimalityChecks:
     def test_constants_are_optimal(self):
         m = bernoulli_grid()
@@ -431,7 +469,7 @@ def oracle_umvue(m, sub, estimand):
     blocks = part.blocks()
     live = [b for b in range(len(blocks)) if any(x in su for x in blocks[b])]
     rows = [
-        tuple(m.event_mass(i, blocks[b]) for b in live) for i in sub.param_indices
+        tuple(oracle_event_mass(m, i, blocks[b]) for b in live) for i in sub.param_indices
     ]
     rhs = [estimand.values[i] for i in sub.param_indices]
     sol = linalg.solve(rows, rhs)
@@ -549,6 +587,52 @@ class TestRaoBlackwell:
             for i in sub.param_indices:
                 assert m.expectation(i, rb.values) == m.expectation(i, g.values)
             assert rao_blackwell(rb, c, m, sub) == rb
+
+
+def fraction_rao_blackwell(
+    g: RationalFunction, c: Partition, m: FiniteModel, sub: SubmodelRef
+) -> RationalFunction:
+    """The engine's former rao_blackwell, which summed block masses as
+    Fractions, kept verbatim (event_mass is now oracle_event_mass) as the
+    reference for the integer block masses."""
+    suff = is_sufficient(c, m, sub)
+    if not suff.passed:
+        raise NotSufficientError(f"partition is not sufficient: witness {suff.witness}")
+    values = [Fraction(0)] * m.num_points
+    for block in c.blocks():
+        avg = None
+        for i in sub.param_indices:
+            mass = oracle_event_mass(m, i, block)
+            if mass == 0:
+                continue
+            candidate = sum((g.values[x] * m.prob[i][x] for x in block), Fraction(0)) / mass
+            if avg is None:
+                avg = candidate
+            elif candidate != avg:
+                raise AssertionError("sufficiency check passed but averages differ")
+        if avg is not None:
+            for x in block:
+                values[x] = avg
+    return RationalFunction(tuple(values))
+
+
+def test_rao_blackwell_on_integer_block_masses_matches_fraction_sums():
+    """The partition is minimal sufficient (always sufficient) or drawn,
+    and then often not sufficient: both raise the same error."""
+    rng = random.Random(64)
+    for _ in range(1000):
+        m, sub, c = random_case(rng)
+        if rng.random() < 0.5:
+            c = minimal_sufficient_partition(m, sub)
+        g = RationalFunction(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m.num_points)))
+        try:
+            expected = fraction_rao_blackwell(g, c, m, sub)
+        except NotSufficientError as e:
+            with pytest.raises(NotSufficientError) as got:
+                rao_blackwell(g, c, m, sub)
+            assert str(got.value) == str(e)
+        else:
+            assert rao_blackwell(g, c, m, sub) == expected
 
 
 class TestMeetOfOptimalSigmas:

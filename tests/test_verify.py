@@ -29,14 +29,25 @@ from fincomplete import (
 from fincomplete.errors import ExhaustionError, GridError
 from fincomplete.model import flatten_label
 from fincomplete.reports import (
+    VERDICT_FAIL,
+    VERDICT_PASS,
+    CheckReport,
     STATUS_CONCLUSION_FAILS,
     STATUS_HYPOTHESIS_UNMET,
     STATUS_THEOREM_VIOLATED,
     STATUS_VERIFIED,
 )
-from fincomplete.verify import cks_product, truncation_exhaustions
+from fincomplete.verify import _marginal_support_report, cks_product, truncation_exhaustions
 
-from conftest import bernoulli_pair_grid, coin, coin_family, random_chain_base, uniform_chain
+from conftest import (
+    bernoulli_pair_grid,
+    coin,
+    coin_family,
+    oracle_event_mass,
+    random_chain_base,
+    uniform_chain,
+)
+from test_checks import random_case
 
 
 def product_instance():
@@ -221,6 +232,32 @@ class TestCksRewrite:
         c1, c2 = coordinate_partitions(a, b)
         report = verify_cks_rewrite(m, c1, c2)
         assert report.status == STATUS_VERIFIED
+
+
+def fraction_marginal_support_report(m: FiniteModel, c: Partition, sub: SubmodelRef) -> CheckReport:
+    """Homogeneity of the restricted family: supports of the block-mass
+    vectors must agree across the submodel (the engine's former Fraction
+    version, kept verbatim with event_mass now oracle_event_mass)."""
+    blocks = c.blocks()
+    idx = sub.param_indices
+    base = tuple(oracle_event_mass(m, idx[0], b) > 0 for b in blocks)
+    for j in idx[1:]:
+        other = tuple(oracle_event_mass(m, j, b) > 0 for b in blocks)
+        if other != base:
+            bnum = next(k for k in range(len(blocks)) if base[k] != other[k])
+            witness = {
+                "block": tuple(m.points[y] for y in blocks[bnum]),
+                "params": (m.params[idx[0]], m.params[j]),
+            }
+            return CheckReport("restricted-homogeneous", VERDICT_FAIL, witness, ())
+    return CheckReport("restricted-homogeneous", VERDICT_PASS, None, ())
+
+
+def test_marginal_support_on_integer_masses_matches_fraction_report():
+    rng = random.Random(62)
+    for _ in range(1500):
+        m, sub, c = random_case(rng)
+        assert _marginal_support_report(m, c, sub) == fraction_marginal_support_report(m, c, sub)
 
 
 class TestHomogeneousConnected:
