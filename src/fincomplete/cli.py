@@ -107,11 +107,18 @@ THEOREMS = (
     "bondesson",
 )
 
-# partitions of the n-fold power space that ``verify unknown-truncation``
-# accepts by name, as functions of (base model, n); "optimal" is always
-# complete, so its hypothesis holds exactly when it is also sufficient
-POWER_PARTITIONS = {
+# partitions that every partition flag accepts by name, as functions of
+# (model, n) on the n-fold power space of the model (n = 1: its points)
+BUILTIN_PARTITIONS = {
+    "discrete": lambda m0, n: Partition.discrete(m0.num_points**n),
     "trivial": lambda m0, n: Partition.trivial(m0.num_points**n),
+}
+
+# partitions of the n-fold power space that ``verify unknown-truncation``
+# accepts by name; "optimal" is always complete, so its hypothesis holds
+# exactly when it is also sufficient
+POWER_PARTITIONS = {
+    **BUILTIN_PARTITIONS,
     "min": min_partition,
     "max": max_partition,
     "min-max": min_max_partition,
@@ -132,6 +139,21 @@ def _load(path: str) -> ModelDocument:
     if not rep.passed:
         raise InputError(f"invalid model file {path}: {'; '.join(rep.notes)}")
     return doc
+
+
+def _partition(doc: ModelDocument, name: str, n: int = 1, builtins=BUILTIN_PARTITIONS) -> Partition:
+    """The partition a partition flag names, on the n-fold power space of
+    the model: the model file's partition of that name if it has that many
+    points, else the built-in of that name."""
+    m0 = doc.model
+    c = doc.partitions.get(name)
+    if c is not None and c.size == m0.num_points**n:
+        return c
+    if name in builtins:
+        return builtins[name](m0, n)
+    if builtins is BUILTIN_PARTITIONS:
+        raise InputError(f"model file has no partition named {name!r}")
+    raise InputError("--partition must name a partition of the n-fold power space or one of " + ", ".join(builtins))
 
 
 def _emit_check(report: CheckReport, doc_model, as_json: bool) -> int:
@@ -171,11 +193,7 @@ def _cmd_check(args) -> int:
     def part(name_arg, flag):
         if name_arg is None:
             raise InputError(f"--property {args.property} requires {flag}")
-        if name_arg == "discrete":
-            return Partition.discrete(m.num_points)
-        if name_arg == "trivial":
-            return Partition.trivial(m.num_points)
-        return doc.partition(name_arg)
+        return _partition(doc, name_arg)
 
     prop = args.property
     if prop == "homogeneous":
@@ -239,7 +257,7 @@ def _cmd_rao_blackwell(args) -> int:
     m = doc.model
     out = rao_blackwell(
         doc.function(args.function),
-        doc.partition(args.partition),
+        _partition(doc, args.partition),
         m,
         parse_submodel(m, args.sub),
     )
@@ -270,20 +288,20 @@ def _cmd_verify(args) -> int:
         if theorem in ("joint-completeness", "hom-connected"):
             if len(args.partition) != len(args.exhaustion) or not args.partition:
                 raise InputError("pair each --partition with one --exhaustion")
-            family = [(doc.partition(p), _named_exhaustion(doc, e)) for p, e in zip(args.partition, args.exhaustion)]
+            family = [(_partition(doc, p), _named_exhaustion(doc, e)) for p, e in zip(args.partition, args.exhaustion)]
             if theorem == "joint-completeness":
                 report = verify_joint_completeness(m, family)
             else:
                 report = verify_homogeneous_connected(m, family, args.mode, weak=args.weak)
         elif theorem == "two-block-grid":
-            report = verify_two_block_grid(m, doc.partition(args.c1), doc.partition(args.c2))
+            report = verify_two_block_grid(m, _partition(doc, args.c1), _partition(doc, args.c2))
         elif theorem == "cks":
             if not args.r_model:
                 raise InputError("cks requires --r-model")
             rdoc = _load(args.r_model)
             report = verify_cks(m, rdoc.model)
         elif theorem == "cks-rewrite":
-            report = verify_cks_rewrite(m, doc.partition(args.c1), doc.partition(args.c2))
+            report = verify_cks_rewrite(m, _partition(doc, args.c1), _partition(doc, args.c2))
         elif theorem == "truncation-family":
             if not args.events:
                 raise InputError("truncation-family requires --events")
@@ -291,23 +309,15 @@ def _cmd_verify(args) -> int:
         elif theorem == "unknown-truncation":
             if not args.events or not args.partition:
                 raise InputError("unknown-truncation requires --events and one --partition")
-            powered = power_model(m, args.n)
-            name = args.partition[0]
-            c = doc.partitions.get(name)
-            if c is None or c.size != powered.num_points:
-                if name not in POWER_PARTITIONS:
-                    raise InputError(
-                        "--partition must name a partition of the n-fold power space or one of "
-                        + ", ".join(POWER_PARTITIONS)
-                    )
-                c = POWER_PARTITIONS[name](m, args.n)
+            power_model(m, args.n)  # checks n and the size guard before a built-in is built
+            c = _partition(doc, args.partition[0], args.n, POWER_PARTITIONS)
             report = verify_unknown_truncation(m, c, _event_list(doc, args.events), args.n)
         elif theorem == "smith":
             if args.mode not in ("a", "b"):
                 raise InputError("smith requires --mode a or b")
             if not args.partition or not args.function:
                 raise InputError("smith requires one --partition and --function")
-            report = verify_smith(m, doc.partition(args.partition[0]), doc.function(args.function), args.mode)
+            report = verify_smith(m, _partition(doc, args.partition[0]), doc.function(args.function), args.mode)
         else:
             if not args.exhaustion or not args.function:
                 raise InputError("bondesson requires one --exhaustion and --function")

@@ -84,9 +84,6 @@ class FiniteModel:
     def num_params(self) -> int:
         return len(self.params)
 
-    def mass(self, theta: int, point: int) -> Fraction:
-        return self.prob[theta][point]
-
     def support(self, theta: int) -> tuple[int, ...]:
         return tuple(x for x, p in enumerate(self.prob[theta]) if p > 0)
 
@@ -314,16 +311,6 @@ class RationalFunction:
             if rep.setdefault(c.block_id[x], v) != v:
                 return False
         return True
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def scale(self, c) -> "RationalFunction":
-        c = _as_fraction(c)
-        return RationalFunction(tuple(c * v for v in self.values))
 
 
 def validate_model(m: FiniteModel) -> CheckReport:

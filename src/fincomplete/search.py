@@ -14,6 +14,14 @@ with the verifier's declared hypotheses (:class:`verify.Hypotheses`),
 stopping at the first failure; verifier reports never stop early.  A find
 is greedily minimized, dropping grid parameters one axis value at a time
 while the violation holds, and then gets one full verifier report.
+
+A template's sampler is built once per hunt and pools what no draw
+changes: the coin rows ``(1 - p, p)`` of the grid's proper fractions, the
+parameter labels, the constant partitions and, for ``two_block_grid``, a
+memo of coin-pair rows keyed by the pair of coin indices.  A draw picks a
+coin by its index, which consumes the randomness a pick of the fraction
+would, so the random stream, every find and every draw count are those of
+a per-draw rebuild.  No pool outlives its hunt.
 """
 
 from __future__ import annotations
@@ -252,51 +260,58 @@ def gen_main_instance(cfg: GenConfig) -> MainInstance:
 _COIN_PAIR_POINTS = ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
 
 
-def _coin_pair_row(pa: Fraction, pb: Fraction) -> tuple[Fraction, ...]:
-    """Masses of two independent coins with heads probabilities pa and pb."""
-    qa, qb = 1 - pa, 1 - pb
-    return (qa * qb, qa * pb, pa * qb, pa * pb)
+def _coins(grid) -> list[tuple[Fraction, Fraction]]:
+    """The row ``(1 - p, p)`` of a coin for each proper fraction ``p`` of
+    the grid; a sampler draws a coin by its index."""
+    return [(1 - g, g) for g in grid if 0 < g.numerator < g.denominator]
 
 
-def _proper_fractions(grid) -> list[Fraction]:
-    # Runs once per draw; comparing a Fraction with an int is much slower.
-    return [g for g in grid if 0 < g.numerator < g.denominator]
-
-
-def _gen_two_block_candidate(
-    rng: random.Random, cfg: GenConfig
-) -> tuple[FiniteModel, Partition, Partition]:
-    pool = _proper_fractions(cfg.mass_grid)
+def _two_block_sampler(cfg: GenConfig) -> Callable[[random.Random], tuple]:
+    coins = _coins(cfg.mass_grid)
+    picks = range(len(coins))  # rng.choice(picks) draws as a choice of a coin does
     params = tuple((a, f"s{j}") for a in ("0", "1") for j in range(3))
     sum_partition = Partition((0, 1, 1, 2))
     x1_partition = Partition((0, 0, 1, 1))
     x2_partition = Partition((0, 1, 0, 1))
-    if rng.random() < 0.7:
-        # i.i.d. coin pairs: one bias per parameter
-        ps = [rng.choice(pool) for _ in params]
-        rows = tuple(_coin_pair_row(p, p) for p in ps)
-        c2 = sum_partition if rng.random() < 0.8 else x2_partition
-    else:
-        rows = tuple(_coin_pair_row(rng.choice(pool), rng.choice(pool)) for _ in params)
-        c2 = x2_partition if rng.random() < 0.6 else sum_partition
-    return FiniteModel(_COIN_PAIR_POINTS, params, rows), x1_partition, c2
+    rows: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+
+    def row(a: int, b: int) -> tuple[Fraction, ...]:
+        """Masses of two independent coins, built once per pair."""
+        if (a, b) not in rows:
+            (qa, pa), (qb, pb) = coins[a], coins[b]
+            rows[a, b] = (qa * qb, qa * pb, pa * qb, pa * pb)
+        return rows[a, b]
+
+    def sample(rng: random.Random) -> tuple[FiniteModel, Partition, Partition]:
+        if rng.random() < 0.7:
+            # i.i.d. coin pairs: one bias per parameter
+            ps = [rng.choice(picks) for _ in params]
+            model_rows = tuple(row(p, p) for p in ps)
+            c2 = sum_partition if rng.random() < 0.8 else x2_partition
+        else:
+            model_rows = tuple(row(rng.choice(picks), rng.choice(picks)) for _ in params)
+            c2 = x2_partition if rng.random() < 0.6 else sum_partition
+        return FiniteModel(_COIN_PAIR_POINTS, params, model_rows), x1_partition, c2
+
+    return sample
 
 
-def _gen_cks_candidate(rng: random.Random, cfg: GenConfig) -> tuple[FiniteModel, FiniteModel]:
-    pool = _proper_fractions(cfg.mass_grid)
-    q = FiniteModel(
-        ("0", "1"),
-        ("0", "1"),
-        tuple((1 - p, p) for p in (rng.choice(pool), rng.choice(pool))),
-    )
+def _cks_sampler(cfg: GenConfig) -> Callable[[random.Random], tuple]:
+    coins = _coins(cfg.mass_grid)
+    picks = range(len(coins))
+    # some rows are point masses, whose smaller support can break homogeneity
+    point_masses = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     params = tuple((a, b) for a in ("0", "1") for b in ("0", "1"))
-    rows = []
-    for _ in params:
-        # some rows are point masses, whose smaller support can break homogeneity
-        p = Fraction(rng.randint(0, 1)) if rng.random() < 0.4 else rng.choice(pool)
-        rows.append((1 - p, p))
-    r = FiniteModel(("0", "1"), params, tuple(rows))
-    return q, r
+
+    def sample(rng: random.Random) -> tuple[FiniteModel, FiniteModel]:
+        q = FiniteModel(("0", "1"), ("0", "1"), (coins[rng.choice(picks)], coins[rng.choice(picks)]))
+        rows = tuple(
+            point_masses[rng.randint(0, 1)] if rng.random() < 0.4 else coins[rng.choice(picks)]
+            for _ in params
+        )
+        return q, FiniteModel(("0", "1"), params, rows)
+
+    return sample
 
 
 def _gen_joint_candidate(rng: random.Random, cfg: GenConfig):
@@ -346,13 +361,14 @@ def _shrink(
 
 
 class _Template(NamedTuple):
-    """One hunted verifier: ``draw`` returns its arguments, ``hypotheses``
-    declares them as data, ``verifier`` names the ``verify`` function that
-    reports a find, ``shrink`` is the grid argument's position and the
-    coordinates to shrink it along, and ``payload`` maps the arguments to
-    the find's models and partitions."""
+    """One hunted verifier: ``sampler(cfg)`` builds, once per hunt, the
+    ``sample(rng)`` that draws its arguments, ``hypotheses`` declares them
+    as data, ``verifier`` names the ``verify`` function that reports a
+    find, ``shrink`` is the grid argument's position and the coordinates
+    to shrink it along, and ``payload`` maps the arguments to the find's
+    models and partitions."""
 
-    draw: Callable[[random.Random, GenConfig], tuple]
+    sampler: Callable[[GenConfig], Callable[[random.Random], tuple]]
     hypotheses: Callable[..., verify.Hypotheses]
     families: tuple[str, ...]
     verifier: str
@@ -362,7 +378,7 @@ class _Template(NamedTuple):
 
 _TEMPLATES = {
     "joint_completeness": _Template(
-        _gen_joint_candidate,
+        lambda cfg: lambda rng: _gen_joint_candidate(rng, cfg),
         verify.joint_completeness_hypotheses,
         verify.JOINT_COMPLETENESS_FAMILIES,
         "verify_joint_completeness",
@@ -370,7 +386,7 @@ _TEMPLATES = {
         lambda m, family: ({"main": m}, {f"C{i + 1}": c for i, (c, _) in enumerate(family)}),
     ),
     "two_block_grid": _Template(
-        _gen_two_block_candidate,
+        _two_block_sampler,
         verify.two_block_grid_hypotheses,
         verify.TWO_BLOCK_GRID_FAMILIES,
         "verify_two_block_grid",
@@ -378,7 +394,7 @@ _TEMPLATES = {
         lambda m, c1, c2: ({"main": m}, {"c1": c1, "c2": c2}),
     ),
     "cks": _Template(
-        _gen_cks_candidate,
+        _cks_sampler,
         verify.cks_hypotheses,
         verify.CKS_FAMILIES,
         "verify_cks",
@@ -422,10 +438,11 @@ def hunt(
     def violated(args: tuple) -> bool:
         return t.hypotheses(*args).violated(dropped_hypothesis)
 
+    sample = t.sampler(cfg)
     rng = random.Random(cfg.seed)
     found: list[FoundInstance] = []
     for draw in range(budget):
-        args = t.draw(rng, cfg)
+        args = sample(rng)
         if not violated(args):
             continue
         args = _shrink(args, *t.shrink, violated)

@@ -101,12 +101,6 @@ class ModelDocument:
         self.exhaustions: dict[str, list[tuple[str, SubmodelRef]]] = exhaustions
         self.events: dict[str, list[frozenset[int]]] = events
 
-    def partition(self, name: str) -> Partition:
-        try:
-            return self.partitions[name]
-        except KeyError:
-            raise InputError(f"model file has no partition named {name!r}") from None
-
     def function(self, name: str) -> RationalFunction:
         try:
             return self.functions[name]

@@ -301,17 +301,6 @@ def models_with_submodels(draw, max_points=8, max_params=5):
     return m, SubmodelRef(tuple(draw(st.sets(st.integers(min_value=0, max_value=k - 1), min_size=1))))
 
 
-@st.composite
-def partitions_for(draw, n):
-    """The trivial, the discrete or a random partition of n points."""
-    kind = draw(st.sampled_from(("trivial", "discrete", "random", "random")))
-    if kind == "trivial":
-        return Partition.trivial(n)
-    if kind == "discrete":
-        return Partition.discrete(n)
-    return Partition(tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))))
-
-
 signed_entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 signed_vectors = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(signed_entries, min_size=n, max_size=n)
@@ -360,16 +349,15 @@ class TestIsComplete:
         assert any("bounded" in n for n in rep.notes)
 
 
-    @given(models_with_submodels(), st.data())
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_integer_block_masses_match_fraction_checks(self, case, data):
-        m, sub = case
-        c = data.draw(partitions_for(m.num_points))
-        complete, sufficient = fraction_is_complete(c, m, sub), fraction_is_sufficient(c, m, sub)
-        assert is_complete(c, m, sub) == complete
-        assert is_sufficient(c, m, sub) == sufficient
-        both = combine_reports("complete-sufficient", complete, sufficient)
-        assert is_complete_sufficient(c, m, sub) == both
+    def test_integer_block_masses_match_fraction_checks(self):
+        rng = random.Random(365)
+        for _ in range(500):
+            m, sub, c = random_case(rng)
+            complete, sufficient = fraction_is_complete(c, m, sub), fraction_is_sufficient(c, m, sub)
+            assert is_complete(c, m, sub) == complete
+            assert is_sufficient(c, m, sub) == sufficient
+            both = combine_reports("complete-sufficient", complete, sufficient)
+            assert is_complete_sufficient(c, m, sub) == both
 
     def test_partition_of_the_wrong_length_is_a_value_error(self):
         m = coin_family("1/3", "1/2")

@@ -572,6 +572,48 @@ class TestCommands:
         assert "sigmaEvents" in doc2.partitions
 
 
+# Every partition flag, with NAME for the partition; "all" is an
+# exhaustion added to the model file.
+PARTITION_FLAG_ARGV = {
+    "check": ("ce55.model", ["check", "--property", "sufficient", "--partition", "NAME"]),
+    "check-partition2": ("ce55.model", ["check", "--property", "independent", "--partition", "C1", "--partition2", "NAME"]),
+    "rao-blackwell": ("ce55.model", ["rao-blackwell", "--partition", "NAME", "--function", "identity"]),
+    "verify-partition": ("ce55.model", ["verify", "joint-completeness", "--partition", "NAME", "--exhaustion", "all"]),
+    "verify-smith": ("ce55.model", ["verify", "smith", "--mode", "a", "--partition", "NAME", "--function", "identity"]),
+    "verify-c1": ("ce52.model", ["verify", "two-block-grid", "--c1", "NAME", "--c2", "sigmaSum"]),
+    "verify-c2": ("ce54.model", ["verify", "cks-rewrite", "--c1", "sigmaX1", "--c2", "NAME"]),
+    "unknown-truncation": ("ce55.model", ["verify", "unknown-truncation", "--events", "uprays", "--partition", "NAME"]),
+}
+
+
+@pytest.mark.parametrize("builtin", ["discrete", "trivial"])
+@pytest.mark.parametrize("flag", PARTITION_FLAG_ARGV)
+def test_every_partition_flag_resolves_builtin_names_after_the_file(capsys, tmp_path, flag, builtin):
+    """A built-in name gives the bytes of the same partition named in the
+    file, and a file partition named like a built-in wins over it."""
+    name, argv = PARTITION_FLAG_ARGV[flag]
+    doc = json.loads(REGISTRY_DOCS[name])
+    doc["exhaustions"] = {"all": [{"label": "all", "params": list(range(len(doc["params"])))}]}
+    n = len(doc["points"])
+    discrete, trivial = list(range(n)), [0] * n
+    parts = doc.setdefault("partitions", {})
+    parts.pop("discrete", None)
+    parts["named"] = discrete if builtin == "discrete" else trivial
+    path = tmp_path / "m.model"
+
+    def outcome(partition_name):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return invoke(capsys, "--json", *[partition_name if a == "NAME" else a for a in argv], "--model", str(path))
+
+    by_builtin = outcome(builtin)
+    assert by_builtin[0] != 3
+    assert by_builtin == outcome("named")
+    # the file's partition of a built-in's name is the other built-in
+    other = "trivial" if builtin == "discrete" else "discrete"
+    parts[builtin] = trivial if builtin == "discrete" else discrete
+    assert outcome(builtin) == outcome(other)
+
+
 class TestDeterminism:
     def test_byte_identical_output_across_threads(self, capsys):
         outs = []
@@ -656,17 +698,18 @@ def _estimand(draw, doc: dict) -> str:
     return ",".join(values)
 
 
-def _named(doc: dict, key: str):
-    """A name of one of the document's attachments under key, or now and
-    then a bogus one."""
+def _named(doc: dict, key: str, builtins: tuple[str, ...] = ()):
+    """A name of one of the document's attachments under key, a built-in
+    name, or now and then a bogus one."""
     names = sorted(doc.get(key, {}))
-    return st.sampled_from((*names, *names, *names, "bogus"))
+    return st.sampled_from((*names, *names, *names, *builtins, "bogus"))
 
 
 def _verify_flags(draw, theorem: str, doc: dict) -> list[str]:
     """Flags for one verifier, with names drawn from the document's
     attachments, the built-in ones and a bogus one."""
-    partitions, functions, exhaustions = (_named(doc, key) for key in ("partitions", "functions", "exhaustions"))
+    partitions = _named(doc, "partitions", ("discrete", "trivial"))
+    functions, exhaustions = (_named(doc, key) for key in ("functions", "exhaustions"))
     if theorem in ("joint-completeness", "hom-connected"):
         flags = []
         for _ in range(draw(st.integers(min_value=1, max_value=2))):

@@ -145,15 +145,18 @@ class TestHunt:
         # Each family is declared next to its verifier's hypotheses; one that
         # tagged no hypothesis would make a drop a silent no-op.
         rng, cfg = random.Random(0), GenConfig()
+        # a grid with no proper fraction has no coin to draw: with no draw, no error
+        no_coins = GenConfig(mass_grid=(Fraction(0), Fraction(1)))
         for template in search.TEMPLATES:
             t = search._TEMPLATES[template]
-            hyps = t.hypotheses(*t.draw(rng, cfg))
+            hyps = t.hypotheses(*t.sampler(cfg)(rng))
             assert t.families and hyps.families == t.families
             assert set(t.families) <= {family for family, _, _ in hyps.entries}
             for family in t.families:
                 assert hunt(template, family, 0, cfg) == []
+                assert hunt(template, family, 0, no_coins) == []
         assert search._TEMPLATES["cks"].families == verify.CKS_FAMILIES
-        cks = verify.cks_hypotheses(*search._gen_cks_candidate(rng, cfg))
+        cks = verify.cks_hypotheses(*search._TEMPLATES["cks"].sampler(cfg)(rng))
         (integrability,) = [f for f, label, _ in cks.entries if label == "integrability"]
         assert integrability not in verify.CKS_FAMILIES
 
@@ -537,13 +540,33 @@ def test_draws_and_violation_predicate_match_oracle(template):
     oracle_draw, oracle_verify = _ORACLE_DRAW_AND_VERIFY[template]
     t = search._TEMPLATES[template]
     rng, oracle_rng, cfg = random.Random(17), random.Random(17), GenConfig()
+    sample = t.sampler(cfg)
     seen = set()
     for _ in range(300):
-        args = t.draw(rng, cfg)
+        args = sample(rng)
         assert args == oracle_draw(oracle_rng, cfg)
+        assert rng.getstate() == oracle_rng.getstate()
         report = oracle_verify(*args)
         for dropped in (None, *ORACLE_DROPPABLE[template]):
             verdict = t.hypotheses(*args).violated(dropped)
             assert verdict == oracle_is_violation(report, dropped)
             seen.add(verdict)
     assert seen == {False, True}
+
+
+SEVENTHS = tuple(Fraction(i, 7) for i in range(8))
+
+
+@pytest.mark.parametrize("grid", [search.DEFAULT_MASS_GRID, SEVENTHS], ids=["twelfths", "sevenths"])
+@pytest.mark.parametrize("template", sorted(ORACLE_DROPPABLE))
+def test_samplers_match_oracle_draws_and_random_stream(template, grid):
+    """A sampler is built once per hunt, with its pools and row memo; each
+    draw equals the oracle's and leaves the random stream where the
+    oracle's leaves it, long after the memo is full."""
+    oracle_draw, _ = _ORACLE_DRAW_AND_VERIFY[template]
+    cfg = GenConfig(mass_grid=grid)
+    sample = search._TEMPLATES[template].sampler(cfg)
+    rng, oracle_rng = random.Random(23), random.Random(23)
+    for _ in range(600):
+        assert sample(rng) == oracle_draw(oracle_rng, cfg)
+        assert rng.getstate() == oracle_rng.getstate()
