@@ -156,11 +156,11 @@ def _partition(doc: ModelDocument, name: str, n: int = 1, builtins=BUILTIN_PARTI
     raise InputError("--partition must name a partition of the n-fold power space or one of " + ", ".join(builtins))
 
 
-def _emit_check(report: CheckReport, doc_model, as_json: bool) -> int:
+def _emit_check(report: CheckReport, as_json: bool) -> int:
     if as_json:
-        print(dumps(check_report_to_dict(report, doc_model)), end="")
+        print(dumps(check_report_to_dict(report)), end="")
     else:
-        print(check_report_text(report, doc_model))
+        print(check_report_text(report))
     if report.verdict == "pass":
         return EXIT_OK
     if report.verdict == "vacuous":
@@ -168,11 +168,11 @@ def _emit_check(report: CheckReport, doc_model, as_json: bool) -> int:
     return EXIT_FAIL
 
 
-def _emit_theorem(report: TheoremReport, doc_model, as_json: bool) -> int:
+def _emit_theorem(report: TheoremReport, as_json: bool) -> int:
     if as_json:
-        print(dumps(theorem_report_to_dict(report, doc_model)), end="")
+        print(dumps(theorem_report_to_dict(report)), end="")
     else:
-        print(theorem_report_text(report, doc_model))
+        print(theorem_report_text(report))
     if report.status == STATUS_VERIFIED:
         return EXIT_OK
     if report.status == STATUS_HYPOTHESIS_UNMET or report.failed_hypotheses():
@@ -182,7 +182,7 @@ def _emit_theorem(report: TheoremReport, doc_model, as_json: bool) -> int:
 
 def _cmd_validate(args) -> int:
     doc = load_model_file(args.model)
-    return _emit_check(validate_model(doc.model), doc.model, args.json)
+    return _emit_check(validate_model(doc.model), args.json)
 
 
 def _cmd_check(args) -> int:
@@ -204,7 +204,7 @@ def _cmd_check(args) -> int:
         report = basu_consistency(part(args.partition, "--partition"), part(args.partition2, "--partition2"), m, sub)
     else:
         report = check_partition(prop, part(args.partition, "--partition"), m, sub)
-    return _emit_check(report, m, args.json)
+    return _emit_check(report, args.json)
 
 
 def _cmd_partition(args) -> int:
@@ -324,13 +324,13 @@ def _cmd_verify(args) -> int:
             report = verify_bondesson(m, _named_exhaustion(doc, args.exhaustion[0]), doc.function(args.function))
     except ValueError as e:  # --n < 1, an unknown --mode or a misplaced --weak
         raise InputError(str(e)) from None
-    return _emit_theorem(report, m, args.json)
+    return _emit_theorem(report, args.json)
 
 
 def _cmd_counterexample(args) -> int:
     entry = registry_mod.load(args.id)
     report = registry_mod.replay(entry)
-    return _emit_theorem(report, entry.model, args.json)
+    return _emit_theorem(report, args.json)
 
 
 def _cmd_search(args) -> int:

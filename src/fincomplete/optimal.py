@@ -103,28 +103,78 @@ def unbiased_class(m: FiniteModel, sub: SubmodelRef, estimand: Estimand) -> Unbi
     return UnbiasedClass(particular, tuple(zero_unbiased_basis(m, sub)))
 
 
-# a fixed prime keeps the modular ranks of the certificate deterministic
-_PRIME = 2**61 - 1
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the prime bases 2 to 41, exact below 3.3 * 10^24
+    (bases 2 to 37 already fail at 3.2 * 10^23)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for b in bases:
+        x = pow(b, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
-def _rank_mod_prime(rows) -> int:
-    """Rank of an integer matrix modulo ``_PRIME``; never above its rank
-    over the rationals."""
-    rows = [[a % _PRIME for a in row] for row in rows]
+def _certificate_primes():
+    """The primes from 2^61 - 1 upwards, each found only when asked for;
+    a fixed sequence keeps the certificate deterministic."""
+    p = 2**61 - 1
+    while True:
+        yield p
+        p += 2
+        while not _is_prime(p):
+            p += 2
+
+
+def _rank_mod(rows, p: int) -> int:
+    """Rank of an integer matrix modulo the prime ``p``; never above its
+    rank over the rationals."""
+    rows = [[a % p for a in row] for row in rows]
     rank = 0
     for c in range(len(rows[0]) if rows else 0):
         piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], -1, _PRIME)
-        top = [a * inv % _PRIME for a in rows[rank]]
+        inv = pow(rows[rank][c], -1, p)
+        top = [a * inv % p for a in rows[rank]]
         for i in range(rank + 1, len(rows)):
             f = rows[i][c]
             if f:
-                rows[i] = [(a - f * b) % _PRIME for a, b in zip(rows[i], top)]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
         rank += 1
     return rank
+
+
+def _has_rank_mod_some_prime(rows, rank: int) -> bool:
+    """Whether the integer matrix has rank ``rank`` modulo some certificate
+    prime.
+
+    Any one prime gives a sound clause, since a modular rank never exceeds
+    the rational one.  When the rational rank is ``rank``, every prime
+    that lowers it divides one nonzero minor, whose absolute value is
+    below 2^B for the Hadamard bound B (the sum over rows of half the bit
+    length of the squared row norm, rounded up).  So the primes are tried
+    until their product reaches 2^B, at most B // 60 + 1 primes above
+    2^60, and a correct rank is never rejected.
+    """
+    bits, product = None, 1
+    for p in _certificate_primes():
+        if _rank_mod(rows, p) == rank:
+            return True
+        if bits is None:
+            bits = sum((sum(a * a for a in row).bit_length() + 1) // 2 for row in rows)
+        product *= p
+        if product.bit_length() > bits:
+            return False
 
 
 def _in_row_space(v, red, pivots, d) -> bool:
@@ -150,7 +200,7 @@ def optimal_sigma_algebra(m: FiniteModel, sub: SubmodelRef) -> Partition:
     (summed over the atoms, so does P_i: the reduced rows span the row
     space), so each atom is in the sigma-algebra; and the atom count
     equals the off-support count plus len(pi) minus the constraint rank
-    modulo the prime, an upper bound on the dimension, so no finer
+    modulo a prime, an upper bound on the dimension, so no finer
     partition fits.  A failure raises ``CertificateError``.
 
     When d != 0 the rank and membership clauses already imply the pivot
@@ -187,13 +237,13 @@ def optimal_sigma_algebra(m: FiniteModel, sub: SubmodelRef) -> Partition:
     bid = part.block_id
     if not (
         all(red[t][pc] == (d if s == t else 0) for t in range(r) for s, pc in enumerate(pivots))
-        and _rank_mod_prime(ps) == r
+        and _has_rank_mod_some_prime(ps, r)
         and all(
             _in_row_space([v if bid[x] == b else 0 for x, v in enumerate(p)], red, pivots, d)
             for p in ps
             for b in range(part.num_blocks)
         )
-        and part.num_blocks == first.count(None) + r - _rank_mod_prime(rows)
+        and _has_rank_mod_some_prime(rows, first.count(None) + r - part.num_blocks)
     ):
         raise CertificateError(
             "optimal partition failed its exact re-check (P_i 1_A in the row space of P per atom, "

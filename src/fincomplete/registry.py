@@ -534,16 +534,16 @@ def _resolve_model(entry: RegistryEntry, args: dict) -> FiniteModel:
     return entry.components[name]
 
 
-def _check_result(rep: CheckReport, m: FiniteModel) -> dict:
-    return {"verdict": rep.verdict, "witness": witness_to_json(rep.witness, m)}
+def _check_result(rep: CheckReport) -> dict:
+    return {"verdict": rep.verdict, "witness": witness_to_json(rep.witness)}
 
 
-def _theorem_result(rep: TheoremReport, m: FiniteModel) -> dict:
+def _theorem_result(rep: TheoremReport) -> dict:
     return {
         "status": rep.status,
         "failed_hypotheses": list(rep.failed_hypotheses()),
         "conclusion_verdict": rep.conclusion_result.verdict,
-        "conclusion_witness": witness_to_json(rep.conclusion_result.witness, m),
+        "conclusion_witness": witness_to_json(rep.conclusion_result.witness),
     }
 
 
@@ -563,9 +563,9 @@ def execute_row(entry: RegistryEntry, row: ExpectedRow) -> dict:
         sub = parse_submodel(m, row.args["sub"])
         prop = row.args["property"]
         if prop == "homogeneous":
-            return _check_result(is_homogeneous(m, sub), m)
+            return _check_result(is_homogeneous(m, sub))
         part = _resolve_partition(entry, m, row.args["partition"])
-        return _check_result(check_partition(prop, part, m, sub), m)
+        return _check_result(check_partition(prop, part, m, sub))
     if op == "minimal_partition":
         sub = parse_submodel(m, row.args["sub"])
         return {"block_id": list(minimal_sufficient_partition(m, sub).block_id)}
@@ -603,14 +603,13 @@ def execute_row(entry: RegistryEntry, row: ExpectedRow) -> dict:
     if op == "two_block_grid":
         c1 = _resolve_partition(entry, m, row.args["c1"])
         c2 = _resolve_partition(entry, m, row.args["c2"])
-        return _theorem_result(verify_two_block_grid(m, c1, c2), m)
+        return _theorem_result(verify_two_block_grid(m, c1, c2))
     if op == "cks":
-        rep = verify_cks(entry.components["Q"], entry.components["R"])
-        return _theorem_result(rep, entry.model)
+        return _theorem_result(verify_cks(entry.components["Q"], entry.components["R"]))
     if op == "cks_rewrite":
         c1 = _resolve_partition(entry, m, row.args["c1"])
         c2 = _resolve_partition(entry, m, row.args["c2"])
-        return _theorem_result(verify_cks_rewrite(m, c1, c2), m)
+        return _theorem_result(verify_cks_rewrite(m, c1, c2))
     raise InputError(f"unknown registry operation {op!r}")
 
 

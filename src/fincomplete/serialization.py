@@ -199,7 +199,7 @@ def save_model_file(path: str, doc: dict) -> None:
         fh.write(dumps(doc))
 
 
-def _witness_value(v, m: FiniteModel | None):
+def _witness_value(v):
     if isinstance(v, Fraction):
         return rational_str(v)
     if isinstance(v, RationalFunction):
@@ -209,42 +209,42 @@ def _witness_value(v, m: FiniteModel | None):
     if isinstance(v, frozenset):
         return sorted(v)
     if isinstance(v, tuple):
-        return [_witness_value(x, m) for x in v]
+        return [_witness_value(x) for x in v]
     if isinstance(v, (str, int, bool)) or v is None:
         return v
     raise TypeError(f"unserializable witness value: {v!r}")
 
 
-def witness_to_json(witness, m: FiniteModel | None = None):
+def witness_to_json(witness):
     if witness is None:
         return None
-    return {k: _witness_value(v, m) for k, v in sorted(witness.items())}
+    return {k: _witness_value(v) for k, v in sorted(witness.items())}
 
 
-def check_report_to_dict(r: CheckReport, m: FiniteModel | None = None) -> dict:
+def check_report_to_dict(r: CheckReport) -> dict:
     return {
         "property": r.property,
         "verdict": r.verdict,
-        "witness": witness_to_json(r.witness, m),
+        "witness": witness_to_json(r.witness),
         "notes": list(r.notes),
     }
 
 
-def theorem_report_to_dict(r: TheoremReport, m: FiniteModel | None = None) -> dict:
+def theorem_report_to_dict(r: TheoremReport) -> dict:
     return {
         "theorem": r.theorem,
         "status": r.status,
         "hypotheses": [
-            {"hypothesis": label, **check_report_to_dict(c, m)}
+            {"hypothesis": label, **check_report_to_dict(c)}
             for label, c in r.hypothesis_results
         ],
-        "conclusion": check_report_to_dict(r.conclusion_result, m),
+        "conclusion": check_report_to_dict(r.conclusion_result),
     }
 
 
-def check_report_text(r: CheckReport, m: FiniteModel | None = None) -> str:
+def check_report_text(r: CheckReport) -> str:
     lines = [f"property: {r.property}", f"verdict: {r.verdict}"]
-    w = witness_to_json(r.witness, m)
+    w = witness_to_json(r.witness)
     if w is not None:
         lines.append("witness: " + json.dumps(w, sort_keys=True, ensure_ascii=False))
     for note in r.notes:
@@ -252,17 +252,17 @@ def check_report_text(r: CheckReport, m: FiniteModel | None = None) -> str:
     return "\n".join(lines)
 
 
-def theorem_report_text(r: TheoremReport, m: FiniteModel | None = None) -> str:
+def theorem_report_text(r: TheoremReport) -> str:
     lines = [f"theorem: {r.theorem}", f"status: {r.status}", "hypotheses:"]
     for label, c in r.hypothesis_results:
         lines.append(f"  - {label}: {c.verdict}")
-        w = witness_to_json(c.witness, m)
+        w = witness_to_json(c.witness)
         if w is not None and c.failed:
             lines.append(
                 "    witness: " + json.dumps(w, sort_keys=True, ensure_ascii=False)
             )
     lines.append(f"conclusion: {r.conclusion_result.verdict}")
-    w = witness_to_json(r.conclusion_result.witness, m)
+    w = witness_to_json(r.conclusion_result.witness)
     if w is not None:
         lines.append("  witness: " + json.dumps(w, sort_keys=True, ensure_ascii=False))
     for note in r.conclusion_result.notes:

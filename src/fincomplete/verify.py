@@ -1,7 +1,9 @@
 """Executable theorem instances.
 
-Each verifier evaluates every hypothesis of a result (never
-short-circuiting, so a report localizes all gaps at once) and then the
+Every verifier is a declaration: ``X_hypotheses`` checks the
+preconditions and returns a :class:`Hypotheses` of lazy checks, and
+``verify_X`` returns its report.  The report evaluates every hypothesis
+(never short-circuiting, so it localizes all gaps at once) and then the
 conclusion, and classifies the outcome: verified, hypothesis unmet with the
 conclusion still holding, or conclusion failing alongside a hypothesis gap.
 A failing conclusion with all hypotheses passing would contradict a proved
@@ -149,13 +151,19 @@ def _discretely_complete(m: FiniteModel) -> CheckReport:
     return is_complete(Partition.discrete(m.num_points), m, SubmodelRef.full(m))
 
 
+def _join_complete(m: FiniteModel, c1: Partition, c2: Partition) -> CheckReport:
+    return is_complete(join(c1, c2), m, SubmodelRef.full(m))
+
+
 JOINT_COMPLETENESS_FAMILIES = ("completeness", "sufficiency")
 
 
 def joint_completeness_hypotheses(
     m: FiniteModel, family: Sequence[tuple[Partition, Exhaustion]]
 ) -> Hypotheses:
-    """The hypotheses and conclusion of :func:`verify_joint_completeness`."""
+    """Joint completeness from partial complete sufficiency: when each
+    partition is complete sufficient for every piece of its exhaustion,
+    the join of all partitions is complete for the whole model."""
     entries: list[Entry] = []
     joined: Partition | None = None
     for i, (part, exh) in enumerate(family):
@@ -173,12 +181,7 @@ def joint_completeness_hypotheses(
     return Hypotheses("joint-completeness", JOINT_COMPLETENESS_FAMILIES, tuple(entries), conclusion)
 
 
-def verify_joint_completeness(
-    m: FiniteModel, family: Sequence[tuple[Partition, Exhaustion]]
-) -> TheoremReport:
-    """Joint completeness from partial complete sufficiency: when each
-    partition is complete sufficient for every piece of its exhaustion,
-    the join of all partitions is complete for the whole model."""
+def verify_joint_completeness(m: FiniteModel, family: Sequence[tuple[Partition, Exhaustion]]) -> TheoremReport:
     return joint_completeness_hypotheses(m, family).report()
 
 
@@ -188,7 +191,11 @@ TWO_BLOCK_GRID_FAMILIES = (
 
 
 def two_block_grid_hypotheses(m: FiniteModel, c1: Partition, c2: Partition) -> Hypotheses:
-    """The hypotheses and conclusion of :func:`verify_two_block_grid`."""
+    """The two-partition grid case of joint completeness: for a model
+    parametrized by a product grid, complete sufficiency of the first
+    partition along one axis and of the second along the other forces the
+    join to be complete.  (Sufficiency of the join is not part of the
+    conclusion and can genuinely fail.)"""
     axis1, axis2 = grid_axes(m)
     entries: list[Entry] = []
     for v in axis2:
@@ -201,19 +208,11 @@ def two_block_grid_hypotheses(m: FiniteModel, c1: Partition, c2: Partition) -> H
             ("c2-completeness", f"c2-complete[axis1={v}]", _sectioned(is_complete, m, 0, v, c2)),
             ("c2-sufficiency", f"c2-sufficient[axis1={v}]", _sectioned(is_sufficient, m, 0, v, c2)),
         ]
-
-    def conclusion() -> CheckReport:
-        return is_complete(join(c1, c2), m, SubmodelRef.full(m))
-
+    conclusion = partial(_join_complete, m, c1, c2)
     return Hypotheses("two-block-grid", TWO_BLOCK_GRID_FAMILIES, tuple(entries), conclusion)
 
 
 def verify_two_block_grid(m: FiniteModel, c1: Partition, c2: Partition) -> TheoremReport:
-    """The two-partition grid case of joint completeness: for a model
-    parametrized by a product grid, complete sufficiency of the first
-    partition along one axis and of the second along the other forces the
-    join to be complete.  (Sufficiency of the join is not part of the
-    conclusion and can genuinely fail.)"""
     return two_block_grid_hypotheses(m, c1, c2).report()
 
 
@@ -237,8 +236,12 @@ CKS_FAMILIES = ("q-completeness", "r-completeness", "homogeneity")
 
 
 def cks_hypotheses(q: FiniteModel, r: FiniteModel) -> Hypotheses:
-    """The hypotheses and conclusion of :func:`verify_cks`; the coupled
-    product is built only when the conclusion is checked."""
+    """Cramer-Kamps-Schenk completeness of a coupled product: completeness
+    of the first family, per-first-coordinate completeness of the second,
+    and per-second-coordinate homogeneity of the second yield completeness
+    of the coupled product, which is built only when the conclusion is
+    checked.  The integrability hypothesis of the general statement is
+    vacuous on finite spaces and recorded as such."""
     axis1, axis2 = grid_axes(r)
     discrete = Partition.discrete(r.num_points)
     entries: list[Entry] = [
@@ -257,15 +260,10 @@ def cks_hypotheses(q: FiniteModel, r: FiniteModel) -> Hypotheses:
 
 
 def verify_cks(q: FiniteModel, r: FiniteModel) -> TheoremReport:
-    """Cramer-Kamps-Schenk completeness of a coupled product: completeness
-    of the first family, per-first-coordinate completeness of the second,
-    and per-second-coordinate homogeneity of the second yield completeness
-    of the coupled product.  The integrability hypothesis of the general
-    statement is vacuous on finite spaces and recorded as such."""
     return cks_hypotheses(q, r).report()
 
 
-def _marginal_support_report(m: FiniteModel, c: Partition, sub: SubmodelRef) -> CheckReport:
+def _marginal_support_report(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
     """Homogeneity of the restricted family: supports of the block-mass
     vectors must agree across the submodel."""
     _, _, live, rows = _block_masses(c, m, sub)
@@ -283,34 +281,29 @@ def _marginal_support_report(m: FiniteModel, c: Partition, sub: SubmodelRef) -> 
     return CheckReport("restricted-homogeneous", VERDICT_PASS, None, ())
 
 
-def verify_cks_rewrite(m: FiniteModel, c1: Partition, c2: Partition) -> TheoremReport:
+def cks_rewrite_hypotheses(m: FiniteModel, c1: Partition, c2: Partition) -> Hypotheses:
     """The grid rewrite of the coupled-product completeness theorem:
     per-axis2 completeness of the first partition; per-axis1 ancillarity
     of the first plus complete sufficiency of the second; per-axis2
     homogeneity of the model restricted to the second partition.  The
     conclusion is completeness of the join."""
     axis1, axis2 = grid_axes(m)
-    hyps: list[tuple[str, CheckReport]] = []
+    entries: list[Entry] = []
     for v in axis2:
-        sec = SubmodelRef.section(m, 1, v)
-        hyps.append((f"c1-complete[axis2={v}]", is_complete(c1, m, sec)))
+        entries.append(("c1-completeness", f"c1-complete[axis2={v}]", _sectioned(is_complete, m, 1, v, c1)))
     for v in axis1:
-        sec = SubmodelRef.section(m, 0, v)
-        hyps.append((f"c1-ancillary[axis1={v}]", is_ancillary(c1, m, sec)))
-        hyps.append(
-            (
-                f"c2-complete-sufficient[axis1={v}]",
-                is_complete_sufficient(c2, m, sec),
-            )
-        )
+        entries.append(("c1-ancillarity", f"c1-ancillary[axis1={v}]", _sectioned(is_ancillary, m, 0, v, c1)))
+        check = _sectioned(is_complete_sufficient, m, 0, v, c2)
+        entries.append(("c2-complete-sufficiency", f"c2-complete-sufficient[axis1={v}]", check))
     for v in axis2:
-        sec = SubmodelRef.section(m, 1, v)
-        hyps.append(
-            (f"c2-marginal-homogeneous[axis2={v}]", _marginal_support_report(m, c2, sec))
-        )
-    hyps.append(("integrability", INTEGRABILITY))
-    conclusion = is_complete(join(c1, c2), m, SubmodelRef.full(m))
-    return TheoremReport("cks-rewrite", tuple(hyps), conclusion)
+        check = _sectioned(_marginal_support_report, m, 1, v, c2)
+        entries.append(("c2-homogeneity", f"c2-marginal-homogeneous[axis2={v}]", check))
+    entries.append(("integrability", "integrability", lambda: INTEGRABILITY))
+    return Hypotheses("cks-rewrite", (), tuple(entries), partial(_join_complete, m, c1, c2))
+
+
+def verify_cks_rewrite(m: FiniteModel, c1: Partition, c2: Partition) -> TheoremReport:
+    return cks_rewrite_hypotheses(m, c1, c2).report()
 
 
 def _connectedness_report(m: FiniteModel, family) -> CheckReport:
@@ -324,13 +317,17 @@ def _connectedness_report(m: FiniteModel, family) -> CheckReport:
     return CheckReport("connected", VERDICT_FAIL, witness, ())
 
 
-def verify_homogeneous_connected(
-    m: FiniteModel,
-    family: Sequence[tuple[Partition, Exhaustion]],
-    mode: str,
-    *,
-    weak: bool = False,
-) -> TheoremReport:
+def _sufficient_somewhere(c: Partition, m: FiniteModel, exh: Exhaustion) -> CheckReport:
+    """Sufficiency of ``c`` for some piece, with each piece's verdict noted."""
+    results = [(eta, is_sufficient(c, m, piece)) for eta, piece in exh.pieces]
+    verdict = VERDICT_PASS if any(r.passed for _, r in results) else VERDICT_FAIL
+    notes = tuple(f"piece {eta}: {r.verdict}" for eta, r in results)
+    return CheckReport("sufficient-somewhere", verdict, None, notes)
+
+
+def homogeneous_connected_hypotheses(
+    m: FiniteModel, family: Sequence[tuple[Partition, Exhaustion]], mode: str, *, weak: bool = False
+) -> Hypotheses:
     """For a homogeneous model with connected exhaustions, the per-piece
     property of each partition (sufficient, minimal sufficient, or
     complete sufficient, per ``mode``) transfers to the join.
@@ -345,32 +342,29 @@ def verify_homogeneous_connected(
     if weak and (mode != "sufficient" or len(family) != 2):
         raise ValueError("weak form applies to mode='sufficient' with two partitions")
     check = checks[mode]
-    hyps: list[tuple[str, CheckReport]] = [
-        ("homogeneous", is_homogeneous(m, SubmodelRef.full(m))),
-        ("connected", _connectedness_report(m, family)),
+    entries: list[Entry] = [
+        ("homogeneity", "homogeneous", partial(is_homogeneous, m, SubmodelRef.full(m))),
+        ("connectedness", "connected", partial(_connectedness_report, m, family)),
     ]
     joined: Partition | None = None
     for i, (part, exh) in enumerate(family):
         exh.validate(m)
         joined = part if joined is None else join(joined, part)
         if weak and i == 1:
-            results = [(eta, check(part, m, piece)) for eta, piece in exh.pieces]
-            passing = [eta for eta, r in results if r.passed]
-            verdict = VERDICT_PASS if passing else VERDICT_FAIL
-            notes = tuple(f"piece {eta}: {r.verdict}" for eta, r in results)
-            hyps.append(
-                (
-                    f"C{i + 1} {mode}[some piece]",
-                    CheckReport(f"{mode}-somewhere", verdict, None, notes),
-                )
-            )
-            continue
-        for eta, piece in exh.pieces:
-            hyps.append((f"C{i + 1} {mode}[{exh.label}={eta}]", check(part, m, piece)))
+            entries.append((mode, "C2 sufficient[some piece]", partial(_sufficient_somewhere, part, m, exh)))
+        else:
+            for eta, piece in exh.pieces:
+                entries.append((mode, f"C{i + 1} {mode}[{exh.label}={eta}]", partial(check, part, m, piece)))
     if joined is None:
         raise ExhaustionError("family must contain at least one partition")
-    conclusion = check(joined, m, SubmodelRef.full(m))
-    return TheoremReport(f"homogeneous-connected[{mode}]", tuple(hyps), conclusion)
+    conclusion = partial(check, joined, m, SubmodelRef.full(m))
+    return Hypotheses(f"homogeneous-connected[{mode}]", (), tuple(entries), conclusion)
+
+
+def verify_homogeneous_connected(
+    m: FiniteModel, family: Sequence[tuple[Partition, Exhaustion]], mode: str, *, weak: bool = False
+) -> TheoremReport:
+    return homogeneous_connected_hypotheses(m, family, mode, weak=weak).report()
 
 
 def _stability_report(m0: FiniteModel, events) -> CheckReport:
@@ -383,7 +377,7 @@ def _stability_report(m0: FiniteModel, events) -> CheckReport:
     return CheckReport("events-intersection-stable", VERDICT_FAIL, witness, ())
 
 
-def verify_truncation_family(m0: FiniteModel, events, n: int) -> TheoremReport:
+def truncation_family_hypotheses(m0: FiniteModel, events, n: int) -> Hypotheses:
     """For one base distribution and an intersection-stable event list,
     the sigma-algebra generated by the event powers is sufficient and
     complete for the family of event-conditioned i.i.d. powers.
@@ -391,16 +385,18 @@ def verify_truncation_family(m0: FiniteModel, events, n: int) -> TheoremReport:
     "One distribution" is checked as the trivial partition being complete
     sufficient for the base model, which holds exactly when all base rows
     are equal, and so exactly when it holds for the n-fold power."""
-    hyps = [
-        ("events-intersection-stable", _stability_report(m0, events)),
-        (
-            "base-single-distribution",
-            is_complete_sufficient(Partition.trivial(m0.num_points), m0, SubmodelRef.full(m0)),
-        ),
-    ]
     model, sig = truncated_family(m0, events, n, require_stable=False)
-    conclusion = is_complete_sufficient(sig, model, SubmodelRef.full(model))
-    return TheoremReport("truncation-family", tuple(hyps), conclusion)
+    entries: tuple[Entry, ...] = (
+        ("stability", "events-intersection-stable", partial(_stability_report, m0, events)),
+        ("single-distribution", "base-single-distribution",
+         partial(is_complete_sufficient, Partition.trivial(m0.num_points), m0, SubmodelRef.full(m0))),
+    )
+    conclusion = partial(is_complete_sufficient, sig, model, SubmodelRef.full(model))
+    return Hypotheses("truncation-family", (), entries, conclusion)
+
+
+def verify_truncation_family(m0: FiniteModel, events, n: int) -> TheoremReport:
+    return truncation_family_hypotheses(m0, events, n).report()
 
 
 def truncation_exhaustions(
@@ -424,9 +420,7 @@ def truncation_exhaustions(
     return Exhaustion("fix-event", ev_pieces), Exhaustion("fix-base-param", par_pieces)
 
 
-def verify_unknown_truncation(
-    m0: FiniteModel, c: Partition, events, n: int
-) -> TheoremReport:
+def unknown_truncation_hypotheses(m0: FiniteModel, c: Partition, events, n: int) -> Hypotheses:
     """Complete sufficiency survives truncation by an unknown event: when
     the event list is intersection-stable and ``c`` (a partition of the
     n-fold power space) is complete sufficient for the power family, the
@@ -438,51 +432,57 @@ def verify_unknown_truncation(
     joint completeness) is re-run and its status recorded in the notes.
     """
     powered = power_model(m0, n)
-    hyps = [
-        ("events-intersection-stable", _stability_report(m0, events)),
-        ("base-complete-sufficient", is_complete_sufficient(c, powered, SubmodelRef.full(powered))),
-    ]
     model, sig = truncated_family(m0, events, n, require_stable=False)
-    conclusion = is_complete_sufficient(join(c, sig), model, SubmodelRef.full(model))
-    by_event, by_param = truncation_exhaustions(m0, model)
-    route = verify_joint_completeness(model, [(c, by_event), (sig, by_param)])
-    conclusion = conclusion.with_notes(
-        f"joint-completeness proof route status: {route.status}"
+    entries: tuple[Entry, ...] = (
+        ("stability", "events-intersection-stable", partial(_stability_report, m0, events)),
+        ("base-complete-sufficiency", "base-complete-sufficient",
+         partial(is_complete_sufficient, c, powered, SubmodelRef.full(powered))),
     )
-    return TheoremReport("unknown-truncation", tuple(hyps), conclusion)
+
+    def conclusion() -> CheckReport:
+        result = is_complete_sufficient(join(c, sig), model, SubmodelRef.full(model))
+        by_event, by_param = truncation_exhaustions(m0, model)
+        route = verify_joint_completeness(model, [(c, by_event), (sig, by_param)])
+        return result.with_notes(f"joint-completeness proof route status: {route.status}")
+
+    return Hypotheses("unknown-truncation", (), entries, conclusion)
 
 
-def verify_smith(
-    m: FiniteModel, c: Partition, q: RationalFunction, mode: str = "b"
-) -> TheoremReport:
+def verify_unknown_truncation(m0: FiniteModel, c: Partition, events, n: int) -> TheoremReport:
+    return unknown_truncation_hypotheses(m0, c, events, n).report()
+
+
+def smith_hypotheses(m: FiniteModel, c: Partition, q: RationalFunction, mode: str = "b") -> Hypotheses:
     """Permanence of (complete) sufficiency under a fixed nonnegative
     weighting: mode "a" carries sufficiency to the weighted model, mode
     "b" carries complete sufficiency."""
     if mode not in ("a", "b"):
         raise ValueError(f"unknown mode {mode!r}")
     full = SubmodelRef.full(m)
-    hyps: list[tuple[str, CheckReport]] = [("sufficient-for-base", is_sufficient(c, m, full))]
-    if mode == "b":
-        hyps.append(("complete-for-base", is_complete(c, m, full)))
     weighted = weighted_model(m, q)
-    wfull = SubmodelRef.full(weighted)
-    if mode == "a":
-        conclusion = is_sufficient(c, weighted, wfull)
-    else:
-        conclusion = is_complete_sufficient(c, weighted, wfull)
-    return TheoremReport(f"smith-weighting[{mode}]", tuple(hyps), conclusion)
+    entries: list[Entry] = [("sufficiency", "sufficient-for-base", partial(is_sufficient, c, m, full))]
+    if mode == "b":
+        entries.append(("completeness", "complete-for-base", partial(is_complete, c, m, full)))
+    carried = is_sufficient if mode == "a" else is_complete_sufficient
+    conclusion = partial(carried, c, weighted, SubmodelRef.full(weighted))
+    return Hypotheses(f"smith-weighting[{mode}]", (), tuple(entries), conclusion)
 
 
-def verify_bondesson(
-    m: FiniteModel, exhaustion: Exhaustion, g: RationalFunction
-) -> TheoremReport:
+def verify_smith(m: FiniteModel, c: Partition, q: RationalFunction, mode: str = "b") -> TheoremReport:
+    return smith_hypotheses(m, c, q, mode).report()
+
+
+def bondesson_hypotheses(m: FiniteModel, exhaustion: Exhaustion, g: RationalFunction) -> Hypotheses:
     """Piecewise optimality implies optimality: an estimator optimal
     unbiased in every piece of an exhaustion is optimal unbiased in the
     whole model."""
     exhaustion.validate(m)
-    hyps = [
-        (f"optimal[{exhaustion.label}={eta}]", is_optimal_unbiased(g, m, piece))
+    entries = tuple(
+        ("optimality", f"optimal[{exhaustion.label}={eta}]", partial(is_optimal_unbiased, g, m, piece))
         for eta, piece in exhaustion.pieces
-    ]
-    conclusion = is_optimal_unbiased(g, m, SubmodelRef.full(m))
-    return TheoremReport("bondesson", tuple(hyps), conclusion)
+    )
+    return Hypotheses("bondesson", (), entries, partial(is_optimal_unbiased, g, m, SubmodelRef.full(m)))
+
+
+def verify_bondesson(m: FiniteModel, exhaustion: Exhaustion, g: RationalFunction) -> TheoremReport:
+    return bondesson_hypotheses(m, exhaustion, g).report()

@@ -352,7 +352,7 @@ def _determinism_digest() -> str:
     rep = verify_joint_completeness(
         model, [(fc.min_partition(m0, 2), exh_min), (fc.max_partition(m0, 2), exh_max)]
     )
-    chunks.append(json.dumps(theorem_report_to_dict(rep, model), sort_keys=True))
+    chunks.append(json.dumps(theorem_report_to_dict(rep), sort_keys=True))
     found = hunt("two_block_grid", "c1-sufficiency", 2000, GenConfig(seed=2024))
     chunks.append(json.dumps(theorem_report_to_dict(found[0].report), sort_keys=True))
     return "\n".join(chunks)

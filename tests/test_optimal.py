@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import fincomplete as fc
-from fincomplete import linalg
+from fincomplete import linalg, optimal
 from fincomplete import (
     Estimand,
     FiniteModel,
@@ -374,6 +374,50 @@ def test_a_reduction_of_too_high_rank_fails_the_rank_check(monkeypatch):
         calls.clear()
         with pytest.raises(CertificateError):
             optimal_sigma_algebra(m, SubmodelRef.full(m))
+
+
+def test_a_minor_divisible_by_the_first_prime_is_not_rejected(capsys, tmp_path):
+    # the integer rows (1, 1) and (1, p + 1) have determinant p = 2^61 - 1,
+    # the first certificate prime, so P has rank 1 modulo it
+    p = 2**61 - 1
+    m = FiniteModel(
+        ("a", "b"), ("s", "t"), ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, p + 2), Fraction(p + 1, p + 2)))
+    )
+    assert optimal_sigma_algebra(m, SubmodelRef.full(m)) == Partition.discrete(2)
+    path = tmp_path / "prime-minor.model"
+    save_model_file(str(path), model_to_dict(m))
+    assert run(["--json", "optimal-sigma", "--model", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"partition": [0, 1]}
+    assert run(["--json", "umvue", "--model", str(path), "--estimand", "0,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["optimal_partition"] == [0, 1]
+
+
+def test_primes_that_lower_a_rank_lead_to_the_next_prime(monkeypatch):
+    rng = random.Random(29)
+    cases = [random_case(rng)[:2] for _ in range(300)]
+    expected = [optimal_sigma_algebra(m, sub) for m, sub in cases]
+    genuine_primes, genuine_rank = optimal._certificate_primes, optimal._rank_mod
+    used: dict[int, int] = {}
+
+    def counting_rank(rows, p):
+        used[p] = used.get(p, 0) + 1
+        return genuine_rank(rows, p)
+
+    monkeypatch.setattr(optimal, "_certificate_primes", lambda: itertools.chain((3, 5), genuine_primes()))
+    monkeypatch.setattr(optimal, "_rank_mod", counting_rank)
+    assert [optimal_sigma_algebra(m, sub) for m, sub in cases] == expected
+    assert used[3] > used[5] > used[2**61 - 1] > 0
+
+
+def test_certificate_primes_are_prime():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(optimal._is_prime(n) == trial(n) for n in range(3000))
+    # a strong pseudoprime to every prime base up to 37
+    assert not optimal._is_prime(318665857834031151167461)
+    first = list(itertools.islice(optimal._certificate_primes(), 3))
+    assert first == [2**61 - 1, 2**61 + 15, 2**61 + 21]
 
 
 class TestOptimalityChecks:

@@ -84,7 +84,6 @@ class TestModelDocuments:
 
 class TestReports:
     def test_witness_serialization_forms(self):
-        m = fc.load("CE55").model
         w = {
             "function": RationalFunction(("1/2", "0", "-2")),
             "partition": Partition((0, 0, 1)),
@@ -92,7 +91,7 @@ class TestReports:
             "pair": ("a", Fraction(3, 4)),
             "count": 3,
         }
-        out = witness_to_json(w, m)
+        out = witness_to_json(w)
         assert out == {
             "count": 3,
             "function": ["1/2", "0", "-2"],
@@ -106,15 +105,15 @@ class TestReports:
         rep = fc.is_sufficient(
             fc.load("CE55").partitions["C1"], m, SubmodelRef.full(m)
         )
-        d = check_report_to_dict(rep, m)
+        d = check_report_to_dict(rep)
         assert d["property"] == "sufficient" and d["verdict"] == "fail"
-        text = check_report_text(rep, m)
+        text = check_report_text(rep)
         assert "verdict: fail" in text and "witness:" in text
 
     def test_theorem_report_dict(self):
         e = fc.load("CE52")
         rep = fc.verify_two_block_grid(e.model, e.partitions["sigmaX1"], e.partitions["sigmaSum"])
-        d = theorem_report_to_dict(rep, e.model)
+        d = theorem_report_to_dict(rep)
         assert d["status"] == "conclusion-fails-with-hypothesis-gap"
         assert len(d["hypotheses"]) == 10
         assert d["conclusion"]["witness"] == {"function": ["0", "-1", "1", "0"]}

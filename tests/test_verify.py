@@ -1,5 +1,7 @@
+import functools
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
@@ -26,8 +28,16 @@ from fincomplete import (
     verify_two_block_grid,
     verify_unknown_truncation,
 )
-from fincomplete.errors import ExhaustionError, GridError
-from fincomplete.model import flatten_label
+from fincomplete import verify
+from fincomplete.checks import (
+    is_ancillary,
+    is_complete_sufficient,
+    is_homogeneous,
+    is_minimal_sufficient,
+)
+from fincomplete.errors import ExhaustionError, GridError, SizeGuardError, WeightError
+from fincomplete.model import flatten_label, truncated_family, weighted_model
+from fincomplete.optimal import is_optimal_unbiased
 from fincomplete.reports import (
     VERDICT_FAIL,
     VERDICT_PASS,
@@ -36,8 +46,18 @@ from fincomplete.reports import (
     STATUS_HYPOTHESIS_UNMET,
     STATUS_THEOREM_VIOLATED,
     STATUS_VERIFIED,
+    TheoremReport,
 )
-from fincomplete.verify import _marginal_support_report, cks_product, truncation_exhaustions
+from fincomplete.serialization import theorem_report_to_dict
+from fincomplete.verify import (
+    INTEGRABILITY,
+    _connectedness_report,
+    _marginal_support_report,
+    _stability_report,
+    cks_product,
+    grid_axes,
+    truncation_exhaustions,
+)
 
 from conftest import (
     bernoulli_pair_grid,
@@ -257,7 +277,7 @@ def test_marginal_support_on_integer_masses_matches_fraction_report():
     rng = random.Random(62)
     for _ in range(1500):
         m, sub, c = random_case(rng)
-        assert _marginal_support_report(m, c, sub) == fraction_marginal_support_report(m, c, sub)
+        assert _marginal_support_report(c, m, sub) == fraction_marginal_support_report(m, c, sub)
 
 
 class TestHomogeneousConnected:
@@ -499,34 +519,35 @@ def _weight(rng, m):
     return RationalFunction(tuple(values))
 
 
-def _verifier_reports(rng):
-    """One report of each of the nine verifiers, every mode and the weak
-    form, on seeded random valid inputs."""
+def _verifier_inputs(rng):
+    """``(name, args, kwargs)`` for one call of each of the nine verifiers,
+    every mode and the weak form, on seeded random valid inputs;
+    ``verify_<name>`` and ``<name>_hypotheses`` take the arguments."""
     m, coords = _random_grid_model(rng)
     c1, c2 = (_random_partition(rng, m, coords) for _ in range(2))
     family = [(c1, _random_exhaustion(rng, m, 1)), (c2, _random_exhaustion(rng, m, 0))]
-    yield verify_joint_completeness(m, family if rng.random() < 0.8 else family[:1])
-    yield verify_two_block_grid(m, c1, c2)
-    yield verify_cks_rewrite(m, c1, c2)
+    yield "joint_completeness", (m, family if rng.random() < 0.8 else family[:1]), {}
+    yield "two_block_grid", (m, c1, c2), {}
+    yield "cks_rewrite", (m, c1, c2), {}
     for mode in ("sufficient", "minimal", "complete"):
-        yield verify_homogeneous_connected(m, family, mode)
-    yield verify_homogeneous_connected(m, family, "sufficient", weak=True)
+        yield "homogeneous_connected", (m, family, mode), {}
+    yield "homogeneous_connected", (m, family, "sufficient"), {"weak": True}
     for mode in ("a", "b"):
-        yield verify_smith(m, c1, _weight(rng, m), mode)
+        yield "smith", (m, c1, _weight(rng, m), mode), {}
     g = RationalFunction(tuple(Fraction(rng.randint(-2, 2)) for _ in range(m.num_points)))
     if rng.random() < 0.5:
         # constant on the optimal atoms, so often optimal in every piece
         part = fc.optimal_sigma_algebra(m, SubmodelRef.full(m))
         g = RationalFunction(tuple(g.values[part.blocks()[b][0]] for b in part.block_id))
-    yield verify_bondesson(m, family[0][1], g)
+    yield "bondesson", (m, family[0][1], g), {}
     na = len({flatten_label(lab)[0] for lab in m.params})
     q = FiniteModel(("0", "1"), tuple(str(i) for i in range(na)), _random_rows(rng, 2, na))
     r = FiniteModel(("0", "1"), m.params, _random_rows(rng, 2, m.num_params))
-    yield verify_cks(q, r)
+    yield "cks", (q, r), {}
     points, n = rng.randint(2, 4), rng.randint(1, 2)
     m0 = random_chain_base(rng, points, rng.randint(1, 3))
     events = rng.choice((fc.interval_events, fc.upray_events, fc.downray_events))(points)
-    yield verify_truncation_family(m0, events, n)
+    yield "truncation_family", (m0, events, n), {}
     powered = power_model(m0, n)
     c = rng.choice(
         (
@@ -538,7 +559,14 @@ def _verifier_reports(rng):
             Partition(tuple(rng.randrange(3) for _ in range(powered.num_points))),
         )
     )
-    yield verify_unknown_truncation(m0, c, events, n)
+    yield "unknown_truncation", (m0, c, events, n), {}
+
+
+def _memoized(h: verify.Hypotheses) -> verify.Hypotheses:
+    """The same declaration with each check run at most once, so that
+    ``report`` and ``violated`` can share the work."""
+    entries = tuple((f, label, functools.cache(check)) for f, label, check in h.entries)
+    return verify.Hypotheses(h.theorem, h.families, entries, functools.cache(h.conclusion))
 
 
 def test_no_verifier_reports_theorem_violated_on_random_valid_inputs():
@@ -546,9 +574,213 @@ def test_no_verifier_reports_theorem_violated_on_random_valid_inputs():
     rng = random.Random(97)
     statuses: dict[str, set[str]] = {}
     for _ in range(600):
-        for report in _verifier_reports(rng):
+        for name, args, kwargs in _verifier_inputs(rng):
+            h = _memoized(getattr(verify, f"{name}_hypotheses")(*args, **kwargs))
+            report = h.report()
             assert report.status != STATUS_THEOREM_VIOLATED, report
+            assert not h.violated(None), report
             statuses.setdefault(report.theorem, set()).add(report.status)
     # nine verifiers; hom-connected and smith name their modes
     assert len(statuses) == 12
     assert all(STATUS_VERIFIED in s for s in statuses.values())
+
+
+def test_every_verifier_is_the_report_of_its_declaration():
+    names = {n.removeprefix("verify_") for n in dir(verify) if n.startswith("verify_")}
+    inputs = {name: (args, kwargs) for name, args, kwargs in _verifier_inputs(random.Random(5))}
+    assert names == set(inputs)
+    for name, (args, kwargs) in inputs.items():
+        declared = getattr(verify, f"{name}_hypotheses")(*args, **kwargs)
+        assert isinstance(declared, verify.Hypotheses)
+        assert getattr(verify, f"verify_{name}")(*args, **kwargs) == declared.report()
+
+
+# --- oracles: the six verifiers that built their reports eagerly, kept
+# verbatim (except for the argument order of _marginal_support_report) as
+# the references for their declarations ---
+
+
+def oracle_verify_cks_rewrite(m: FiniteModel, c1: Partition, c2: Partition) -> TheoremReport:
+    axis1, axis2 = grid_axes(m)
+    hyps: list[tuple[str, CheckReport]] = []
+    for v in axis2:
+        sec = SubmodelRef.section(m, 1, v)
+        hyps.append((f"c1-complete[axis2={v}]", is_complete(c1, m, sec)))
+    for v in axis1:
+        sec = SubmodelRef.section(m, 0, v)
+        hyps.append((f"c1-ancillary[axis1={v}]", is_ancillary(c1, m, sec)))
+        hyps.append(
+            (
+                f"c2-complete-sufficient[axis1={v}]",
+                is_complete_sufficient(c2, m, sec),
+            )
+        )
+    for v in axis2:
+        sec = SubmodelRef.section(m, 1, v)
+        hyps.append(
+            (f"c2-marginal-homogeneous[axis2={v}]", _marginal_support_report(c2, m, sec))
+        )
+    hyps.append(("integrability", INTEGRABILITY))
+    conclusion = is_complete(join(c1, c2), m, SubmodelRef.full(m))
+    return TheoremReport("cks-rewrite", tuple(hyps), conclusion)
+
+
+def oracle_verify_homogeneous_connected(
+    m: FiniteModel,
+    family: Sequence[tuple[Partition, Exhaustion]],
+    mode: str,
+    *,
+    weak: bool = False,
+) -> TheoremReport:
+    checks = {"sufficient": is_sufficient, "minimal": is_minimal_sufficient, "complete": is_complete_sufficient}
+    if mode not in checks:
+        raise ValueError(f"unknown mode {mode!r}")
+    if weak and (mode != "sufficient" or len(family) != 2):
+        raise ValueError("weak form applies to mode='sufficient' with two partitions")
+    check = checks[mode]
+    hyps: list[tuple[str, CheckReport]] = [
+        ("homogeneous", is_homogeneous(m, SubmodelRef.full(m))),
+        ("connected", _connectedness_report(m, family)),
+    ]
+    joined: Partition | None = None
+    for i, (part, exh) in enumerate(family):
+        exh.validate(m)
+        joined = part if joined is None else join(joined, part)
+        if weak and i == 1:
+            results = [(eta, check(part, m, piece)) for eta, piece in exh.pieces]
+            passing = [eta for eta, r in results if r.passed]
+            verdict = VERDICT_PASS if passing else VERDICT_FAIL
+            notes = tuple(f"piece {eta}: {r.verdict}" for eta, r in results)
+            hyps.append(
+                (
+                    f"C{i + 1} {mode}[some piece]",
+                    CheckReport(f"{mode}-somewhere", verdict, None, notes),
+                )
+            )
+            continue
+        for eta, piece in exh.pieces:
+            hyps.append((f"C{i + 1} {mode}[{exh.label}={eta}]", check(part, m, piece)))
+    if joined is None:
+        raise ExhaustionError("family must contain at least one partition")
+    conclusion = check(joined, m, SubmodelRef.full(m))
+    return TheoremReport(f"homogeneous-connected[{mode}]", tuple(hyps), conclusion)
+
+
+def oracle_verify_truncation_family(m0: FiniteModel, events, n: int) -> TheoremReport:
+    hyps = [
+        ("events-intersection-stable", _stability_report(m0, events)),
+        (
+            "base-single-distribution",
+            is_complete_sufficient(Partition.trivial(m0.num_points), m0, SubmodelRef.full(m0)),
+        ),
+    ]
+    model, sig = truncated_family(m0, events, n, require_stable=False)
+    conclusion = is_complete_sufficient(sig, model, SubmodelRef.full(model))
+    return TheoremReport("truncation-family", tuple(hyps), conclusion)
+
+
+def oracle_verify_unknown_truncation(
+    m0: FiniteModel, c: Partition, events, n: int
+) -> TheoremReport:
+    powered = power_model(m0, n)
+    hyps = [
+        ("events-intersection-stable", _stability_report(m0, events)),
+        ("base-complete-sufficient", is_complete_sufficient(c, powered, SubmodelRef.full(powered))),
+    ]
+    model, sig = truncated_family(m0, events, n, require_stable=False)
+    conclusion = is_complete_sufficient(join(c, sig), model, SubmodelRef.full(model))
+    by_event, by_param = truncation_exhaustions(m0, model)
+    route = verify_joint_completeness(model, [(c, by_event), (sig, by_param)])
+    conclusion = conclusion.with_notes(
+        f"joint-completeness proof route status: {route.status}"
+    )
+    return TheoremReport("unknown-truncation", tuple(hyps), conclusion)
+
+
+def oracle_verify_smith(
+    m: FiniteModel, c: Partition, q: RationalFunction, mode: str = "b"
+) -> TheoremReport:
+    if mode not in ("a", "b"):
+        raise ValueError(f"unknown mode {mode!r}")
+    full = SubmodelRef.full(m)
+    hyps: list[tuple[str, CheckReport]] = [("sufficient-for-base", is_sufficient(c, m, full))]
+    if mode == "b":
+        hyps.append(("complete-for-base", is_complete(c, m, full)))
+    weighted = weighted_model(m, q)
+    wfull = SubmodelRef.full(weighted)
+    if mode == "a":
+        conclusion = is_sufficient(c, weighted, wfull)
+    else:
+        conclusion = is_complete_sufficient(c, weighted, wfull)
+    return TheoremReport(f"smith-weighting[{mode}]", tuple(hyps), conclusion)
+
+
+def oracle_verify_bondesson(
+    m: FiniteModel, exhaustion: Exhaustion, g: RationalFunction
+) -> TheoremReport:
+    exhaustion.validate(m)
+    hyps = [
+        (f"optimal[{exhaustion.label}={eta}]", is_optimal_unbiased(g, m, piece))
+        for eta, piece in exhaustion.pieces
+    ]
+    conclusion = is_optimal_unbiased(g, m, SubmodelRef.full(m))
+    return TheoremReport("bondesson", tuple(hyps), conclusion)
+
+
+ORACLES = {
+    "cks_rewrite": oracle_verify_cks_rewrite,
+    "homogeneous_connected": oracle_verify_homogeneous_connected,
+    "truncation_family": oracle_verify_truncation_family,
+    "unknown_truncation": oracle_verify_unknown_truncation,
+    "smith": oracle_verify_smith,
+    "bondesson": oracle_verify_bondesson,
+}
+
+
+def test_declared_verifiers_match_the_eager_oracles():
+    rng = random.Random(98)
+    for _ in range(150):
+        for name, args, kwargs in _verifier_inputs(rng):
+            if name in ORACLES:
+                report = getattr(verify, f"verify_{name}")(*args, **kwargs)
+                expected = ORACLES[name](*args, **kwargs)
+                assert theorem_report_to_dict(report) == theorem_report_to_dict(expected)
+
+
+_coins = coin_family("1/3", "1/2")
+_chain = uniform_chain(4)
+_partial = Exhaustion("partial", (("only-first", SubmodelRef.of(0)),))
+_whole = [(Partition.discrete(2), Exhaustion.single(_coins))]
+
+
+@pytest.mark.parametrize(
+    "name, args, kwargs, error",
+    [
+        ("cks_rewrite", (_coins, Partition.trivial(2), Partition.trivial(2)), {}, GridError),
+        ("homogeneous_connected", (_coins, [(Partition.discrete(2), _partial)], "sufficient"), {}, ExhaustionError),
+        ("homogeneous_connected", (_coins, [], "sufficient"), {}, ExhaustionError),
+        ("bondesson", (_coins, _partial, RationalFunction.constant(1, 2)), {}, ExhaustionError),
+        ("homogeneous_connected", (_coins, _whole, "bogus"), {}, ValueError),
+        ("smith", (_coins, Partition.discrete(2), RationalFunction.constant(1, 2), "c"), {}, ValueError),
+        ("homogeneous_connected", (_coins, _whole * 2, "complete"), {"weak": True}, ValueError),
+        ("homogeneous_connected", (_coins, _whole, "sufficient"), {"weak": True}, ValueError),
+        ("truncation_family", (_chain, fc.interval_events(4), 0), {}, ValueError),
+        ("unknown_truncation", (_chain, Partition.trivial(4), fc.interval_events(4), 0), {}, ValueError),
+        ("truncation_family", (_chain, fc.interval_events(4), 40), {}, SizeGuardError),
+        ("unknown_truncation", (_chain, Partition.trivial(4), fc.interval_events(4), 40), {}, SizeGuardError),
+        ("smith", (_coins, Partition.discrete(2), RationalFunction.constant(0, 2), "a"), {}, WeightError),
+    ],
+    ids=[
+        "wrong-grid", "non-covering-exhaustion", "empty-family", "bondesson-non-covering", "bad-mode",
+        "smith-bad-mode", "weak-complete", "weak-one-partition", "truncation-n0", "unknown-n0",
+        "truncation-size-guard", "unknown-size-guard", "annihilating-weight",
+    ],
+)
+def test_declarations_raise_the_eager_preconditions(name, args, kwargs, error):
+    # raised while the declaration is built, before any check runs
+    with pytest.raises(error) as expected:
+        ORACLES[name](*args, **kwargs)
+    for call in (getattr(verify, f"{name}_hypotheses"), getattr(verify, f"verify_{name}")):
+        with pytest.raises(type(expected.value)) as raised:
+            call(*args, **kwargs)
+        assert str(raised.value) == str(expected.value)
