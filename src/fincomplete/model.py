@@ -468,7 +468,6 @@ def truncated_family(
     n: int,
     *,
     require_stable: bool = True,
-    size_guard: int | None = None,
 ) -> tuple[FiniteModel, Partition]:
     """The family of event-conditioned i.i.d. powers, with the
     sigma-algebra the event powers generate.
@@ -488,7 +487,7 @@ def truncated_family(
                 f"events not intersection-stable: {event_label(m0, evs[i])} and "
                 f"{event_label(m0, evs[j])}"
             )
-    powered = power_model(m0, n, size_guard=size_guard)
+    powered = power_model(m0, n)
     # masks[k][t]: whether power point t lies in evs[k]^n, in power point order
     masks = [
         [all(bits) for bits in itertools.product([x in e for x in range(m0.num_points)], repeat=n)]

@@ -8,6 +8,13 @@ expectation byte for byte; witnesses quoted from the source constructions
 are additionally re-verified from first principles (zero expectations,
 nonvanishing on the support union) rather than trusted.
 
+Entries are data, shipped with the package under ``counterexamples/``.
+Entry ``CE5N`` is the model file ``ce5N.model`` (model, partitions and
+functions), its component models ``ce5N_q.model`` and ``ce5N_r.model``
+where it has any, and ``ce5N.rows``, a JSON object with ``rows`` (a list of
+``[label, op, args, expected]``), ``notes`` and ``components`` (the
+component names).  ``execute_row`` below is the interpreter of the ops.
+
 Entry overview:
 
 * CE52 - a two-coin swap grid on a four-point product space: the first
@@ -29,8 +36,9 @@ Entry overview:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from fractions import Fraction
+from importlib.resources import files
 
 from .checks import check_partition, is_homogeneous, minimal_sufficient_partition
 from .errors import InputError
@@ -45,7 +53,7 @@ from .model import (
 )
 from .optimal import exists_complete_sufficient, optimal_sigma_algebra
 from .reports import CheckReport, TheoremReport, VERDICT_FAIL, VERDICT_PASS
-from .serialization import rational_str, witness_to_json
+from .serialization import model_from_dict, rational_str, witness_to_json
 from .verify import verify_cks, verify_cks_rewrite, verify_two_block_grid
 
 REGISTRY_IDS = ("CE52", "CE53", "CE54", "CE55")
@@ -73,450 +81,27 @@ class RegistryEntry:
     notes: tuple[str, ...] = ()
 
 
-def _fr(s: str) -> Fraction:
-    return Fraction(s)
-
-
-def _coin_pair_row(t: Fraction) -> tuple[Fraction, ...]:
-    return ((1 - t) * (1 - t), t * (1 - t), t * (1 - t), t * t)
-
-
-def _swapped_pair_row(t: Fraction) -> tuple[Fraction, ...]:
-    return (t * t, t * (1 - t), t * (1 - t), (1 - t) * (1 - t))
-
-
-def _build_ce52() -> RegistryEntry:
-    thetas2 = ("1/5", "1/4", "1/3")
-    points = ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
-    params = tuple(("0", t) for t in thetas2) + tuple(("1", t) for t in thetas2)
-    rows = tuple(_coin_pair_row(_fr(t)) for t in thetas2) + tuple(
-        _swapped_pair_row(_fr(t)) for t in thetas2
-    )
-    model = FiniteModel(points, params, rows)
-    partitions = {
-        "sigmaX1": Partition((0, 0, 1, 1)),
-        "sigmaSum": Partition((0, 1, 1, 2)),
-        "discrete": Partition((0, 1, 2, 3)),
-    }
-    functions = {"x1-x2": RationalFunction(("0", "-1", "1", "0"))}
-
-    expected = [
-        ExpectedRow("model is valid", "validate", {}, {"verdict": "pass"}),
-    ]
-    for t in thetas2:
-        expected.append(
-            ExpectedRow(
-                f"sigmaX1 complete for section theta2={t}",
-                "check",
-                {"property": "complete", "partition": "sigmaX1", "sub": f"theta2={t}"},
-                {"verdict": "pass", "witness": None},
-            )
-        )
-        expected.append(
-            ExpectedRow(
-                f"sigmaX1 not sufficient for section theta2={t}",
-                "check",
-                {"property": "sufficient", "partition": "sigmaX1", "sub": f"theta2={t}"},
-                {
-                    "verdict": "fail",
-                    "witness": {
-                        "point": "(0,0)",
-                        "block": ["(0,0)", "(0,1)"],
-                        "params": [["0", t], ["1", t]],
-                    },
-                },
-            )
-        )
-    for t1 in ("0", "1"):
-        expected.append(
-            ExpectedRow(
-                f"sigmaSum complete for section theta1={t1}",
-                "check",
-                {"property": "complete", "partition": "sigmaSum", "sub": f"theta1={t1}"},
-                {"verdict": "pass", "witness": None},
-            )
-        )
-        expected.append(
-            ExpectedRow(
-                f"sigmaSum sufficient for section theta1={t1}",
-                "check",
-                {"property": "sufficient", "partition": "sigmaSum", "sub": f"theta1={t1}"},
-                {"verdict": "pass", "witness": None},
-            )
-        )
-    expected += [
-        ExpectedRow(
-            "join of sigmaX1 and sigmaSum is the discrete partition",
-            "join_partitions",
-            {"first": "sigmaX1", "second": "sigmaSum"},
-            {"block_id": [0, 1, 2, 3]},
-        ),
-        ExpectedRow(
-            "join incomplete for the full grid, witness x1-x2",
-            "check",
-            {"property": "complete", "partition": "discrete", "sub": "all"},
-            {"verdict": "fail", "witness": {"function": ["0", "-1", "1", "0"]}},
-        ),
-        ExpectedRow(
-            "x1-x2 is a valid incompleteness witness",
-            "incompleteness_witness",
-            {"function": "x1-x2", "sub": "all"},
-            {"verdict": "pass"},
-        ),
-        ExpectedRow(
-            "two-block-grid verifier: only first-partition sufficiency fails",
-            "two_block_grid",
-            {"c1": "sigmaX1", "c2": "sigmaSum"},
-            {
-                "status": "conclusion-fails-with-hypothesis-gap",
-                "failed_hypotheses": [
-                    "c1-sufficient[axis2=1/5]",
-                    "c1-sufficient[axis2=1/4]",
-                    "c1-sufficient[axis2=1/3]",
-                ],
-                "conclusion_verdict": "fail",
-                "conclusion_witness": {"function": ["0", "-1", "1", "0"]},
-            },
-        ),
-    ]
-    notes = (
-        "the parameter grid {1/5, 1/4, 1/3} is a frozen finite stand-in for a "
-        "continuum of second coordinates; the rows above re-verify every "
-        "hypothesis the construction needs on this grid",
-    )
-    return RegistryEntry("CE52", model, partitions, functions, tuple(expected), {}, notes)
-
-
-def _q_component() -> FiniteModel:
-    return FiniteModel(
-        ("0", "1"),
-        ("0", "1"),
-        ((_fr("1/3"), _fr("2/3")), (_fr("2/3"), _fr("1/3"))),
-    )
-
-
-def _build_ce53() -> RegistryEntry:
-    q = _q_component()
-    r = FiniteModel(
-        ("0", "1"),
-        (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")),
-        (
-            (Fraction(1), Fraction(0)),
-            (Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-            (Fraction(0), Fraction(1)),
-        ),
-    )
-    points = ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
-    params = (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))
-    row0 = (_fr("1/3"), Fraction(0), _fr("2/3"), Fraction(0))
-    row1 = (Fraction(0), _fr("2/3"), Fraction(0), _fr("1/3"))
-    model = FiniteModel(points, params, (row0, row0, row1, row1))
-    functions = {
-        "abs-diff": RationalFunction(("0", "1", "1", "0")),
-        "abs-diff-centered": RationalFunction(("-2/3", "1/3", "1/3", "-2/3")),
-    }
-    expected = [
-        ExpectedRow("model is valid", "validate", {}, {"verdict": "pass"}),
-        ExpectedRow(
-            "first family is complete",
-            "check",
-            {"property": "complete", "partition": "discrete", "sub": "all", "model": "Q"},
-            {"verdict": "pass", "witness": None},
-        ),
-    ]
-    for t1 in ("0", "1"):
-        expected.append(
-            ExpectedRow(
-                f"second family complete for section theta1={t1}",
-                "check",
-                {
-                    "property": "complete",
-                    "partition": "discrete",
-                    "sub": f"theta1={t1}",
-                    "model": "R",
-                },
-                {"verdict": "pass", "witness": None},
-            )
-        )
-    for t2 in ("0", "1"):
-        expected.append(
-            ExpectedRow(
-                f"second family not homogeneous across section theta2={t2}",
-                "check",
-                {"property": "homogeneous", "sub": f"theta2={t2}", "model": "R"},
-                {
-                    "verdict": "fail",
-                    "witness": {"params": [["0", t2], ["1", t2]], "point": "0"},
-                },
-            )
-        )
-    expected += [
-        ExpectedRow(
-            "cks verifier: homogeneity fails, coupled product incomplete",
-            "cks",
-            {},
-            {
-                "status": "conclusion-fails-with-hypothesis-gap",
-                "failed_hypotheses": [
-                    "second-family-homogeneous[axis2=0]",
-                    "second-family-homogeneous[axis2=1]",
-                ],
-                "conclusion_verdict": "fail",
-                "conclusion_witness": {"function": ["-2", "0", "1", "0"]},
-            },
-        ),
-        ExpectedRow(
-            "centered absolute difference is a valid incompleteness witness",
-            "incompleteness_witness",
-            {"function": "abs-diff-centered", "sub": "all"},
-            {"verdict": "pass"},
-        ),
-    ]
-    for lab in params:
-        expected.append(
-            ExpectedRow(
-                f"expected absolute difference under ({lab[0]},{lab[1]}) is 2/3",
-                "expectation",
-                {"function": "abs-diff", "param": list(lab)},
-                {"value": "2/3"},
-            )
-        )
-    return RegistryEntry(
-        "CE53", model, {"discrete": Partition((0, 1, 2, 3))}, functions, tuple(expected), {"Q": q, "R": r}
-    )
-
-
-def _build_ce54() -> RegistryEntry:
-    q = _q_component()
-    r = FiniteModel(
-        ("0", "1"),
-        (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")),
-        (
-            (_fr("1/3"), _fr("2/3")),
-            (_fr("1/3"), _fr("2/3")),
-            (_fr("2/3"), _fr("1/3")),
-            (_fr("2/3"), _fr("1/3")),
-        ),
-    )
-    points = ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
-    params = (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))
-    row0 = (_fr("1/9"), _fr("2/9"), _fr("2/9"), _fr("4/9"))
-    row1 = (_fr("4/9"), _fr("2/9"), _fr("2/9"), _fr("1/9"))
-    model = FiniteModel(points, params, (row0, row0, row1, row1))
-    partitions = {
-        "sigmaX1": Partition((0, 0, 1, 1)),
-        "sigmaX2": Partition((0, 1, 0, 1)),
-        "discrete": Partition((0, 1, 2, 3)),
-    }
-    functions = {
-        "abs-diff-centered": RationalFunction(("-4/9", "5/9", "5/9", "-4/9")),
-    }
-    expected = [
-        ExpectedRow("model is valid", "validate", {}, {"verdict": "pass"}),
-        ExpectedRow(
-            "combined second family is complete globally",
-            "check",
-            {"property": "complete", "partition": "discrete", "sub": "all", "model": "R"},
-            {"verdict": "pass", "witness": None},
-        ),
-    ]
-    for t1, kernel in (("0", ["-2", "1"]), ("1", ["-1", "2"])):
-        expected.append(
-            ExpectedRow(
-                f"second family incomplete for section theta1={t1}",
-                "check",
-                {
-                    "property": "complete",
-                    "partition": "discrete",
-                    "sub": f"theta1={t1}",
-                    "model": "R",
-                },
-                {"verdict": "fail", "witness": {"function": kernel}},
-            )
-        )
-    expected += [
-        ExpectedRow(
-            "cks verifier: per-section completeness fails, product incomplete",
-            "cks",
-            {},
-            {
-                "status": "conclusion-fails-with-hypothesis-gap",
-                "failed_hypotheses": [
-                    "second-family-complete[axis1=0]",
-                    "second-family-complete[axis1=1]",
-                ],
-                "conclusion_verdict": "fail",
-                "conclusion_witness": {"function": ["0", "-1", "1", "0"]},
-            },
-        ),
-        ExpectedRow(
-            "cks-rewrite verifier on the product with coordinate partitions",
-            "cks_rewrite",
-            {"c1": "sigmaX1", "c2": "sigmaX2"},
-            {
-                "status": "conclusion-fails-with-hypothesis-gap",
-                "failed_hypotheses": [
-                    "c2-complete-sufficient[axis1=0]",
-                    "c2-complete-sufficient[axis1=1]",
-                ],
-                "conclusion_verdict": "fail",
-                "conclusion_witness": {"function": ["0", "-1", "1", "0"]},
-            },
-        ),
-        ExpectedRow(
-            "centered absolute difference is a valid incompleteness witness",
-            "incompleteness_witness",
-            {"function": "abs-diff-centered", "sub": "all"},
-            {"verdict": "pass"},
-        ),
-    ]
-    return RegistryEntry("CE54", model, partitions, functions, tuple(expected), {"Q": q, "R": r})
-
-
-def _build_ce55() -> RegistryEntry:
-    points = ("1", "2", "3")
-    params = (("1", "1"), ("1", "2"), ("2", "1"), ("2", "2"))
-    rows = (
-        (_fr("1/3"), _fr("1/3"), _fr("1/3")),
-        (Fraction(0), Fraction(0), Fraction(1)),
-        (Fraction(0), Fraction(0), Fraction(1)),
-        (_fr("1/6"), _fr("1/3"), _fr("1/2")),
-    )
-    model = FiniteModel(points, params, rows)
-    partitions = {
-        "C1": Partition((0, 0, 1)),
-        "C2": Partition((0, 0, 1)),
-        "discrete": Partition((0, 1, 2)),
-    }
-    functions = {"identity": RationalFunction(("1", "2", "3"))}
-    expected = [
-        ExpectedRow("model is valid", "validate", {}, {"verdict": "pass"}),
-        ExpectedRow(
-            "support union of the two point masses",
-            "support_union",
-            {"sub": "params=1,2"},
-            {"points": ["3"]},
-        ),
-    ]
-    for sel in ("theta1=1", "theta1=2", "theta2=1", "theta2=2"):
-        expected.append(
-            ExpectedRow(
-                f"C1 complete for section {sel}",
-                "check",
-                {"property": "complete", "partition": "C1", "sub": sel},
-                {"verdict": "pass", "witness": None},
-            )
-        )
-        expected.append(
-            ExpectedRow(
-                f"C1 sufficient for section {sel}",
-                "check",
-                {"property": "sufficient", "partition": "C1", "sub": sel},
-                {"verdict": "pass", "witness": None},
-            )
-        )
-    expected += [
-        ExpectedRow(
-            "minimal sufficient partition of the theta1=2 section",
-            "minimal_partition",
-            {"sub": "theta1=2"},
-            {"block_id": [0, 0, 1]},
-        ),
-        ExpectedRow(
-            "C1 is minimal sufficient for the theta1=2 section",
-            "check",
-            {"property": "minimal-sufficient", "partition": "C1", "sub": "theta1=2"},
-            {"verdict": "pass", "witness": None},
-        ),
-        ExpectedRow(
-            "minimal sufficient partition of the full model is discrete",
-            "minimal_partition",
-            {"sub": "all"},
-            {"block_id": [0, 1, 2]},
-        ),
-        ExpectedRow(
-            "join of C1 and C2",
-            "join_partitions",
-            {"first": "C1", "second": "C2"},
-            {"block_id": [0, 0, 1]},
-        ),
-        ExpectedRow(
-            "the join is complete for the full model",
-            "check",
-            {"property": "complete", "partition": "C1", "sub": "all"},
-            {"verdict": "pass", "witness": None},
-        ),
-        ExpectedRow(
-            "the join is not sufficient for the full model",
-            "check",
-            {"property": "sufficient", "partition": "C1", "sub": "all"},
-            {
-                "verdict": "fail",
-                "witness": {
-                    "point": "1",
-                    "block": ["1", "2"],
-                    "params": [["1", "1"], ["2", "2"]],
-                },
-            },
-        ),
-        ExpectedRow(
-            "model is not homogeneous",
-            "check",
-            {"property": "homogeneous", "sub": "all"},
-            {
-                "verdict": "fail",
-                "witness": {"params": [["1", "1"], ["1", "2"]], "point": "1"},
-            },
-        ),
-        ExpectedRow(
-            "conditional expectation of the identity given C1 under (2,2)",
-            "conditional_expectation",
-            {"function": "identity", "partition": "C1", "param": ["2", "2"]},
-            {"values": ["5/3", "5/3", "3"]},
-        ),
-        ExpectedRow(
-            "optimal partition of the theta1=2 section",
-            "optimal_partition",
-            {"sub": "theta1=2"},
-            {"block_id": [0, 0, 1]},
-        ),
-        ExpectedRow(
-            "a complete sufficient partition exists for the full model",
-            "exists_complete_sufficient",
-            {"sub": "all"},
-            {"verdict": "pass", "partition": [0, 1, 2]},
-        ),
-        ExpectedRow(
-            "two-block-grid verifier: fully verified",
-            "two_block_grid",
-            {"c1": "C1", "c2": "C2"},
-            {
-                "status": "verified",
-                "failed_hypotheses": [],
-                "conclusion_verdict": "pass",
-                "conclusion_witness": None,
-            },
-        ),
-    ]
-    return RegistryEntry("CE55", model, partitions, functions, tuple(expected))
-
-
-_BUILDERS = {
-    "CE52": _build_ce52,
-    "CE53": _build_ce53,
-    "CE54": _build_ce54,
-    "CE55": _build_ce55,
-}
+def _document(name: str) -> dict:
+    return json.loads((files(__package__) / "counterexamples" / name).read_text(encoding="utf-8"))
 
 
 def load(entry_id: str) -> RegistryEntry:
     key = entry_id.upper()
-    if key not in _BUILDERS:
+    if key not in REGISTRY_IDS:
         raise InputError(
             f"unknown registry id {entry_id!r}; known ids: {', '.join(REGISTRY_IDS)}"
         )
-    return _BUILDERS[key]()
+    stem = key.lower()
+    doc = model_from_dict(_document(f"{stem}.model"))
+    data = _document(f"{stem}.rows")
+    components = {
+        name: model_from_dict(_document(f"{stem}_{name.lower()}.model")).model
+        for name in data["components"]
+    }
+    rows = tuple(ExpectedRow(*row) for row in data["rows"])
+    return RegistryEntry(
+        key, doc.model, doc.partitions, doc.functions, rows, components, tuple(data["notes"])
+    )
 
 
 def _resolve_partition(entry: RegistryEntry, model: FiniteModel, name: str) -> Partition:

@@ -42,8 +42,8 @@ from fincomplete.verify import Exhaustion
 
 from conftest import oracle_is_complete, uniform_chain, valid_incompleteness_witness
 
-REGISTRY = os.path.join(os.path.dirname(__file__), "..", "registry")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+REGISTRY = os.path.join(SRC, "fincomplete", "counterexamples")
 
 
 def _report(criterion: str, ok: bool, elapsed: float, limit: float, detail: str = ""):
@@ -380,7 +380,7 @@ def test_criterion_9_determinism():
             ],
             capture_output=True,
             env=env,
-            cwd=os.path.dirname(REGISTRY),
+            cwd=os.path.dirname(SRC),
         )
         ok &= proc.returncode == 0
         outs.append(proc.stdout)

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,8 +20,8 @@ from fincomplete.reports import STATUS_THEOREM_VIOLATED
 from fincomplete.search import TEMPLATES
 from fincomplete.serialization import dumps, load_model_file, model_to_dict, save_model_file
 
-REGISTRY = os.path.join(os.path.dirname(__file__), "..", "registry")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+REGISTRY = os.path.join(SRC, "fincomplete", "counterexamples")
 
 
 ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
@@ -648,7 +649,7 @@ class TestDeterminism:
 # --- seeded exit-code fuzz: mutated registry documents and argv ---
 
 REGISTRY_DOCS = {}
-for _name in sorted(os.listdir(REGISTRY)):
+for _name in sorted(n for n in os.listdir(REGISTRY) if n.endswith(".model")):
     with open(reg(_name), encoding="utf-8") as _fh:
         REGISTRY_DOCS[_name] = _fh.read()
 
@@ -1019,3 +1020,32 @@ def test_one_call_builds_two_parsers(capsys, monkeypatch, tmp_path, command):
     argv = [str(tmp_path / "out.model") if a == "OUT" else a for a in GUARD_ARGV[command]]
     assert run(argv) in (0, 1, 2)
     assert built == ["fincomplete", f"fincomplete {command}"]
+
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+# names of files the README's examples invent rather than ship
+README_PLACEHOLDERS = ("mymodel.model", "chain.model", "coin.model")
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The `fincomplete ...` lines of the sh block in README's CLI section,
+    with backslash continuations joined."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("fincomplete ")]
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch):
+    monkeypatch.chdir(os.path.dirname(README))
+    ran = []
+    for words in readme_cli_commands():
+        argv = words[1:]
+        if argv[0] == "search" or any(name in README_PLACEHOLDERS for name in argv):
+            continue
+        code = run(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        ran.append(argv[0])
+    assert "counterexample" in ran and "verify" in ran
