@@ -22,7 +22,6 @@ point, then parameter pair), so reports are reproducible byte for byte.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from . import linalg
 from .errors import CertificateError
@@ -41,6 +40,11 @@ FINITE_BOUNDED_NOTE = (
 )
 
 
+def _require_size(c: Partition, m: FiniteModel) -> None:
+    if c.size != m.num_points:
+        raise ValueError(f"partition has {c.size} points, the model {m.num_points}")
+
+
 def _block_masses(c: Partition, m: FiniteModel, sub: SubmodelRef):
     """Per submodel member, in submodel order: the positive integer ``s``
     its row is scaled by and the scaled row; then the live blocks (nonzero
@@ -49,8 +53,7 @@ def _block_masses(c: Partition, m: FiniteModel, sub: SubmodelRef):
     is the true mass times ``s``, which changes no rank, kernel or
     cross-multiplication."""
     sub.validate(m)
-    if c.size != m.num_points:
-        raise ValueError(f"partition has {c.size} points, the model {m.num_points}")
+    _require_size(c, m)
     scales, points = zip(*(linalg.scale_to_integers(m.prob[i]) for i in sub.param_indices))
     sums = []
     for ints in points:
@@ -137,32 +140,20 @@ def is_complete_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> Ch
     )
 
 
-def _ray_key(column) -> tuple[int, ...] | str:
-    """The primitive integer vector on the ray through a likelihood vector,
-    first nonzero entry positive: equal exactly for proportional vectors.
-    The zero vector, a point off the support union, is "off-support"."""
-    ints = linalg.clear_denominators(column)
-    g = gcd(*ints)
-    if g == 0:
-        return "off-support"
-    if next(v for v in ints if v) < 0:
-        g = -g
-    return tuple(v // g for v in ints)
-
-
 def minimal_sufficient_partition(m: FiniteModel, sub: SubmodelRef) -> Partition:
     """The minimal sufficient partition: on the support union, points share
     a block exactly when their likelihood vectors are proportional, that
-    is, when they have the same ray key.
+    is, when the primitive integer vectors on their rays are equal.
 
-    Points outside the support union form one dedicated extra block; the
+    Points outside the support union, whose likelihood vectors are zero,
+    share the zero vector's key and so form one dedicated extra block; the
     construction is only almost surely determined there, and the fixed
     convention keeps minimality decidable.  Comparisons elsewhere in this
     module are always restricted to the support union.
     """
     sub.validate(m)
     columns = zip(*(m.prob[i] for i in sub.param_indices))
-    return Partition(tuple(_ray_key(column) for column in columns))
+    return Partition(tuple(linalg.primitive(linalg.clear_denominators(column)) for column in columns))
 
 
 def is_minimal_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
@@ -225,11 +216,11 @@ def are_independent(
     """Independence of two partitions under every submodel member.  On a
     member's row scaled to integers by ``s``, P(B1 & B2) = P(B1) P(B2)
     reads s joint = p1 p2."""
-    sub.validate(m)
+    scales, points, _, _ = _block_masses(c1, m, sub)
+    _require_size(c2, m)
     blocks1 = [set(b) for b in c1.blocks()]
     blocks2 = [set(b) for b in c2.blocks()]
-    for i in sub.param_indices:
-        s, ints = linalg.scale_to_integers(m.prob[i])
+    for i, s, ints in zip(sub.param_indices, scales, points):
         for b1 in blocks1:
             p1 = sum(ints[x] for x in b1)
             for b2 in blocks2:

@@ -35,6 +35,7 @@ from .errors import (
     StabilityError,
 )
 from .model import (
+    BUILTIN_PARTITIONS,
     EVENT_KINDS,
     Partition,
     SubmodelRef,
@@ -106,13 +107,6 @@ THEOREMS = (
     "smith",
     "bondesson",
 )
-
-# partitions that every partition flag accepts by name, as functions of
-# (model, n) on the n-fold power space of the model (n = 1: its points)
-BUILTIN_PARTITIONS = {
-    "discrete": lambda m0, n: Partition.discrete(m0.num_points**n),
-    "trivial": lambda m0, n: Partition.trivial(m0.num_points**n),
-}
 
 # partitions of the n-fold power space that ``verify unknown-truncation``
 # accepts by name; "optimal" is always complete, so its hypothesis holds
@@ -356,11 +350,8 @@ def _cmd_search(args) -> int:
         payload.append(item)
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-            for name, mm in sorted(hit.models.items()):
-                save_model_file(
-                    os.path.join(args.out, f"found{i}_{name}.model"),
-                    model_to_dict(mm, partitions=hit.partitions if name == "main" else None),
-                )
+            for name, doc in item["models"].items():
+                save_model_file(os.path.join(args.out, f"found{i}_{name}.model"), doc)
     if args.json:
         print(dumps({"found": payload}), end="")
     else:

@@ -5,11 +5,14 @@ fraction-free routine, ``_eliminate``: each row is scaled to integers and
 reduced by Bareiss elimination (Bareiss 1968), whose only arithmetic is
 integer multiplication and exact integer division.  Rank needs forward
 elimination alone.  The reduced form also clears the rows above each
-pivot, which leaves every pivot equal to one common integer ``d``; an
-output vector is then read off the integer rows with one division (by
-``d``, or by the gcd when normalizing).  Pivoting is deterministic and the
-reduced form, kernel basis and solution are unique, so results are
-byte-stable.
+pivot, which leaves every pivot equal to one common integer ``d``.  A
+solution is read off the integer rows with one division by ``d``; a
+kernel vector is read off as integers and made primitive by ``primitive``
+(content 1, last nonzero entry positive), the one normalization of
+integer vectors in the package.  So kernel vectors are tuples of ``int``,
+while ``rref`` and ``solve`` return ``Fraction``s.  Pivoting is
+deterministic and the reduced form, kernel basis and solution are unique,
+so results are byte-stable.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 Vector = tuple[Fraction, ...]
+IntVector = tuple[int, ...]
 
 
 def scale_to_integers(row) -> tuple[int, list[int]]:
@@ -82,34 +86,38 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     return [[Fraction(x, d) for x in row] for row in m], pivots
 
 
-def _primitive(ints) -> Vector:
-    """Coprime integers with the last nonzero entry positive (zero stays zero)."""
-    g = gcd(*ints) or 1
-    if next((v for v in reversed(ints) if v != 0), 0) < 0:
-        g = -g
-    return tuple(Fraction(v // g) for v in ints)
+def primitive(ints) -> IntVector:
+    """The primitive integer vector on the ray through an integer vector:
+    coprime entries, the last nonzero entry positive.  Equal exactly for
+    vectors that are nonzero multiples of each other; the zero vector
+    stays zero."""
+    g = gcd(*ints)
+    if not g:
+        return tuple(ints)
+    for v in reversed(ints):
+        if v:
+            if v < 0:
+                g = -g
+            break
+    return tuple([v // g for v in ints])
 
 
-def normalize_vector(vec) -> Vector:
-    """Canonical representative of a rational vector up to scaling.
-
-    Entries are scaled to coprime integers with the last nonzero entry
-    positive; the zero vector is returned unchanged.  Used so kernel bases
-    and reported witnesses are byte-stable.
-    """
-    return _primitive(clear_denominators([Fraction(x) for x in vec]))
+def normalize_vector(vec) -> IntVector:
+    """Canonical representative of a rational vector up to scaling: the
+    primitive integer vector on its ray (the zero vector stays zero)."""
+    return primitive(clear_denominators([Fraction(x) for x in vec]))
 
 
-def _kernel_vector(m, pivots, d, fc: int, width: int) -> Vector:
+def _kernel_vector(m, pivots, d, fc: int, width: int) -> IntVector:
     """The normalized kernel vector of a reduced form for free column fc."""
     v = [0] * width
     v[fc] = d
     for r, pc in enumerate(pivots):
         v[pc] = -m[r][fc]
-    return _primitive(v)
+    return primitive(v)
 
 
-def kernel_basis(rows, width: int) -> list[Vector]:
+def kernel_basis(rows, width: int) -> list[IntVector]:
     """Basis of {v : M v = 0}, one normalized vector per free column.
 
     ``width`` is the number of columns, needed when ``rows`` is empty.
@@ -120,7 +128,7 @@ def kernel_basis(rows, width: int) -> list[Vector]:
     return [_kernel_vector(m, pivots, d, fc, width) for fc in free]
 
 
-def first_kernel_vector(rows, width: int) -> Vector | None:
+def first_kernel_vector(rows, width: int) -> IntVector | None:
     """``kernel_basis(rows, width)[0]``, or None for a trivial kernel.  Only
     the first ``len(rows) + 1`` columns are reduced: every column left of
     the first free column is a pivot column."""

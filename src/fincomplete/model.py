@@ -32,9 +32,7 @@ DEFAULT_SIZE_GUARD = 4096
 SIZE_GUARD_ENV = "FINCOMPLETE_SIZE_GUARD"
 
 
-def resolve_size_guard(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
+def resolve_size_guard() -> int:
     env = os.environ.get(SIZE_GUARD_ENV)
     return int(env) if env else DEFAULT_SIZE_GUARD
 
@@ -400,11 +398,12 @@ def coordinate_partitions(a: FiniteModel, b: FiniteModel) -> tuple[Partition, Pa
     return first, second
 
 
-def power_model(a: FiniteModel, n: int, *, size_guard: int | None = None) -> FiniteModel:
-    """The i.i.d. n-fold power: same parameters, product masses on n-tuples."""
+def power_model(a: FiniteModel, n: int) -> FiniteModel:
+    """The i.i.d. n-fold power: same parameters, product masses on n-tuples.
+    The point count is bounded by ``FINCOMPLETE_SIZE_GUARD`` (default 4096)."""
     if n < 1:
         raise ValueError("power requires n >= 1")
-    guard = resolve_size_guard(size_guard)
+    guard = resolve_size_guard()
     if a.num_points**n > guard:
         raise SizeGuardError(f"{a.num_points}^{n} points exceeds the guard of {guard}")
     points = tuple("(" + ",".join(a.points[i] for i in t) + ")" for t in power_tuples(a, n))
@@ -488,11 +487,9 @@ def truncated_family(
                 f"{event_label(m0, evs[j])}"
             )
     powered = power_model(m0, n)
-    # masks[k][t]: whether power point t lies in evs[k]^n, in power point order
-    masks = [
-        [all(bits) for bits in itertools.product([x in e for x in range(m0.num_points)], repeat=n)]
-        for e in evs
-    ]
+    tuples = power_tuples(m0, n)
+    # masks[k][t]: whether power point t lies in evs[k]^n
+    masks = [[e.issuperset(t) for t in tuples] for e in evs]
     zero = Fraction(0)
     params = []
     rows = []
@@ -528,6 +525,14 @@ def downray_events(n: int) -> list[frozenset[int]]:
 
 # the event lists of a chain of n points, by name
 EVENT_KINDS = {"intervals": interval_events, "uprays": upray_events, "downrays": downray_events}
+
+# partitions that every partition flag and registry row accepts by name, as
+# functions of (model, n) on the n-fold power space of the model (n = 1:
+# its points)
+BUILTIN_PARTITIONS = {
+    "discrete": lambda m0, n: Partition.discrete(m0.num_points**n),
+    "trivial": lambda m0, n: Partition.trivial(m0.num_points**n),
+}
 
 
 def min_max_partition(m0: FiniteModel, n: int) -> Partition:

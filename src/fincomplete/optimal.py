@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import linalg
 from .checks import _block_masses, _sufficient, is_sufficient
-from .errors import CertificateError, ExhaustionError, NotSufficientError
+from .errors import CertificateError, NotSufficientError
 from .model import (
     FiniteModel,
     Partition,
@@ -223,7 +222,7 @@ def optimal_sigma_algebra(m: FiniteModel, sub: SubmodelRef) -> Partition:
                 if any(row):
                     constraints[row] = None
     rows = list(constraints)
-    gs = [linalg.clear_denominators(g) for g in linalg.kernel_basis(rows, r)]
+    gs = linalg.kernel_basis(rows, r)
     weights = [[[p[pc] * g[t] for t, pc in enumerate(pivots)] for g in gs] for p in ps]
     labels: list = []
     for x, i0 in enumerate(first):
@@ -231,8 +230,7 @@ def optimal_sigma_algebra(m: FiniteModel, sub: SubmodelRef) -> Partition:
             labels.append(x)
             continue
         key = (ps[i0][x], *(sum(w * c for w, c in zip(ws, cols[x])) for ws in weights[i0]))
-        g = gcd(*key)
-        labels.append(tuple(v // g for v in key))
+        labels.append(linalg.primitive(key))
     part = Partition(tuple(labels))
     bid = part.block_id
     if not (
@@ -385,13 +383,10 @@ def meet_of_optimal_sigmas(
 ) -> tuple[Partition, CheckReport]:
     """Meet of the submodel optimal partitions along an exhaustion, with a
     report that the meet is coarser than or equal to the full-model
-    optimal partition up to null sets (restricted to the support union)."""
+    optimal partition up to null sets (restricted to the support union).
+    An exhaustion that does not cover the model raises ``ExhaustionError``."""
+    exhaustion.validate(m)
     full_sub = SubmodelRef.full(m)
-    covered = set()
-    for _, piece in exhaustion.pieces:
-        covered.update(piece.param_indices)
-    if covered != set(range(m.num_params)):
-        raise ExhaustionError("exhaustion does not cover the model")
     acc: Partition | None = None
     for _, piece in exhaustion.pieces:
         part = optimal_sigma_algebra(m, piece)

@@ -43,6 +43,7 @@ from importlib.resources import files
 from .checks import check_partition, is_homogeneous, minimal_sufficient_partition
 from .errors import InputError
 from .model import (
+    BUILTIN_PARTITIONS,
     FiniteModel,
     Partition,
     RationalFunction,
@@ -50,6 +51,7 @@ from .model import (
     join,
     parse_submodel,
     support_union,
+    validate_model,
 )
 from .optimal import exists_complete_sufficient, optimal_sigma_algebra
 from .reports import CheckReport, TheoremReport, VERDICT_FAIL, VERDICT_PASS
@@ -105,10 +107,8 @@ def load(entry_id: str) -> RegistryEntry:
 
 
 def _resolve_partition(entry: RegistryEntry, model: FiniteModel, name: str) -> Partition:
-    if name == "discrete":
-        return Partition.discrete(model.num_points)
-    if name == "trivial":
-        return Partition.trivial(model.num_points)
+    if name in BUILTIN_PARTITIONS:
+        return BUILTIN_PARTITIONS[name](model, 1)
     return entry.partitions[name]
 
 
@@ -135,8 +135,6 @@ def _theorem_result(rep: TheoremReport) -> dict:
 def execute_row(entry: RegistryEntry, row: ExpectedRow) -> dict:
     """Run one row's operation and return the actual result in the same
     shape as the frozen expectation."""
-    from .model import validate_model
-
     m = _resolve_model(entry, row.args)
     op = row.op
     if op == "validate":
@@ -201,13 +199,11 @@ def execute_row(entry: RegistryEntry, row: ExpectedRow) -> dict:
 def replay(entry: RegistryEntry) -> TheoremReport:
     """Replay every expected row of one entry; the result is shaped like a
     theorem report with one hypothesis line per row."""
-    import json as _json
-
     results = []
     for row in entry.expected:
         actual = execute_row(entry, row)
-        want = _json.dumps(row.expected, sort_keys=True)
-        got = _json.dumps(actual, sort_keys=True)
+        want = json.dumps(row.expected, sort_keys=True)
+        got = json.dumps(actual, sort_keys=True)
         if want == got:
             results.append((row.label, CheckReport("registry-row", VERDICT_PASS, None, ())))
         else:

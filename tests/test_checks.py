@@ -27,7 +27,6 @@ from fincomplete import (
     support_union,
 )
 from fincomplete import linalg
-from fincomplete.checks import _ray_key
 from fincomplete.errors import CertificateError
 from fincomplete.model import RationalFunction
 from fincomplete.reports import VERDICT_FAIL, VERDICT_PASS, CheckReport, combine_reports
@@ -81,6 +80,39 @@ def random_case(rng, max_points=7, max_params=5):
     size = 1 if rng.random() < 0.2 else rng.randint(1, k)
     c = rng.choice((Partition.trivial(n), Partition.discrete(n), random_partition(rng, n), random_partition(rng, n)))
     return m, SubmodelRef(tuple(rng.sample(range(k), size))), c
+
+
+def random_huge_case(rng, max_points=6, max_params=4):
+    """A model and a submodel with 30-digit integer weights: zero masses,
+    all-zero columns, columns that are multiples of earlier ones (by a
+    small or a 30-digit factor) and members equal to earlier ones, so gcd
+    and sign normalization meet large integers."""
+    n, k = rng.randint(1, max_points), rng.randint(1, max_params)
+
+    def big():
+        return rng.randrange(10**29, 10**30)
+
+    cols: list[list[int]] = []
+    for _ in range(n):
+        kind = rng.choice(("fresh", "fresh", "zero", "multiple") if cols else ("fresh",))
+        if kind == "multiple":
+            factor = rng.choice((rng.randint(2, 9), big()))
+            cols.append([factor * w for w in rng.choice(cols)])
+        elif kind == "zero":
+            cols.append([0] * k)
+        else:
+            cols.append([rng.choice((0, big(), big())) for _ in range(k)])
+    raw = [[col[i] for col in cols] for i in range(k)]
+    for i in range(1, k):
+        if rng.random() < 0.3:
+            raw[i] = list(rng.choice(raw[:i]))
+    rows = []
+    for row in raw:
+        if not any(row):
+            row[rng.randrange(n)] = big()
+        rows.append(tuple(Fraction(w, sum(row)) for w in row))
+    m = FiniteModel(tuple(f"x{i}" for i in range(n)), tuple(f"t{i}" for i in range(k)), tuple(rows))
+    return m, SubmodelRef(tuple(rng.sample(range(k), rng.randint(1, k))))
 
 
 # --- oracles: the engine's former representative scan for the minimal
@@ -474,18 +506,28 @@ class TestMinimalSufficiency:
         m, sub = case
         assert minimal_sufficient_partition(m, sub) == oracle_minimal_sufficient_partition(m, sub)
 
+    def test_huge_weights_match_representative_scan(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            m, sub = random_huge_case(rng)
+            assert minimal_sufficient_partition(m, sub) == oracle_minimal_sufficient_partition(m, sub)
+
     @given(signed_vectors, st.data())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_ray_key_equal_exactly_when_proportional(self, u, data):
+        # the key minimal_sufficient_partition gives each likelihood vector
+        def key(vec):
+            return linalg.primitive(linalg.clear_denominators(vec))
+
         scaled = st.sampled_from((-2, -1, Fraction(-1, 3), Fraction(1, 3), 3)).map(
             lambda s: [s * x for x in u]
         )
         arbitrary = st.lists(signed_entries, min_size=len(u), max_size=len(u))
         v = data.draw(st.one_of(arbitrary, scaled))
         if any(u) and any(v):
-            assert (_ray_key(u) == _ray_key(v)) == _proportional(u, v)
+            assert (key(u) == key(v)) == _proportional(u, v)
         else:
-            assert (_ray_key(u) == _ray_key(v)) == (not any(u) and not any(v))
+            assert (key(u) == key(v)) == (not any(u) and not any(v))
 
 
 class TestAncillaryIndependentHomogeneous:
@@ -533,6 +575,17 @@ class TestAncillaryIndependentHomogeneous:
             c2 = random_partition(rng, m.num_points)
             assert is_ancillary(c1, m, sub) == fraction_is_ancillary(c1, m, sub)
             assert are_independent(c1, c2, m, sub) == fraction_are_independent(c1, c2, m, sub)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_partition_of_the_wrong_length_is_rejected(self, position):
+        m = FiniteModel(("a", "b", "c"), ("t",), ((Fraction(1, 3),) * 3,))
+        sub, right = SubmodelRef.full(m), Partition((0, 0, 0))
+        for wrong in (Partition((0, 0)), Partition((0, 1)), Partition((0, 0, 0, 1))):
+            pair = (wrong, right) if position == 0 else (right, wrong)
+            with pytest.raises(ValueError, match="partition has"):
+                are_independent(*pair, m, sub)
+            with pytest.raises(ValueError, match="partition has"):
+                basu_consistency(*pair, m, sub)
 
     def test_homogeneous_verdicts(self):
         assert is_homogeneous(coin_family("1/3", "1/2"), SubmodelRef.of(0, 1)).passed

@@ -615,6 +615,24 @@ def test_every_partition_flag_resolves_builtin_names_after_the_file(capsys, tmp_
     assert outcome(builtin) == outcome(other)
 
 
+def test_partition_flags_only_yield_partitions_of_the_right_size(capsys, tmp_path):
+    """The partition checks reject a partition of the wrong length; the CLI
+    never hands them one: a model file cannot hold one, and a document
+    partition of another size yields to the built-in or is refused."""
+    doc = json.loads(REGISTRY_DOCS["ce55.model"])
+    doc["partitions"] = {"short": [0, 1]}
+    path = tmp_path / "short.model"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ("check", "--model", str(path), "--property", "independent", "--partition", "short", "--partition2", "trivial")
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (3, "") and "partition 'short'" in err
+    parsed = load_model_file(reg("ce55.model"))
+    parsed.partitions.update(short=fc.Partition((0, 1)), discrete=fc.Partition((0, 1, 2, 3)))
+    assert cli._partition(parsed, "discrete") == fc.Partition.discrete(3)
+    with pytest.raises(InputError):
+        cli._partition(parsed, "short")
+
+
 class TestDeterminism:
     def test_byte_identical_output_across_threads(self, capsys):
         outs = []

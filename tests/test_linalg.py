@@ -177,6 +177,16 @@ def test_kernel_of_empty_matrix_is_identity():
     assert linalg.first_kernel_vector([], 0) is None
 
 
+def test_kernel_vectors_are_primitive_int_tuples():
+    rows = [(Fraction(1, 2), Fraction(1, 3), Fraction(-1, 6), Fraction(0))]
+    out = [*linalg.kernel_basis(rows, 4), linalg.first_kernel_vector(rows, 4)]
+    out += [linalg.primitive([6, -4, 0]), linalg.primitive([0, 0]), linalg.normalize_vector((Fraction(1, 2), 1))]
+    for v in out:
+        assert type(v) is tuple and all(type(x) is int for x in v)
+    assert out[-3:] == [(-3, 2, 0), (0, 0), (1, 2)]
+    assert linalg.primitive([6 * (10**30 + 1), 0, -9]) == (-2 * (10**30 + 1), 0, 3)
+
+
 def test_normalize_vector_canonical():
     v = linalg.normalize_vector((Fraction(1, 2), Fraction(-1, 3), Fraction(0)))
     assert v == (Fraction(-3), Fraction(2), Fraction(0))

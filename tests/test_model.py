@@ -351,9 +351,10 @@ class TestProductAndPower:
         assert m.num_points == 16
         assert set(m.prob[0]) == {Fraction(1, 16)}
 
-    def test_power_guard(self):
+    def test_power_guard(self, monkeypatch):
+        monkeypatch.setenv("FINCOMPLETE_SIZE_GUARD", "50")
         with pytest.raises(SizeGuardError):
-            power_model(uniform_chain(10), 2, size_guard=50)
+            power_model(uniform_chain(10), 2)
 
     def test_params_are_not_powered(self):
         a = coin_family("1/3", "1/2")
@@ -410,11 +411,11 @@ class TestWeightedModel:
 # for the signatures; kept verbatim as the references ---
 
 
-def oracle_power_model(a: FiniteModel, n: int, *, size_guard: int | None = None) -> FiniteModel:
+def oracle_power_model(a: FiniteModel, n: int) -> FiniteModel:
     """The i.i.d. n-fold power: same parameters, product masses on n-tuples."""
     if n < 1:
         raise ValueError("power requires n >= 1")
-    guard = resolve_size_guard(size_guard)
+    guard = resolve_size_guard()
     if a.num_points**n > guard:
         raise SizeGuardError(f"{a.num_points}^{n} points exceeds the guard of {guard}")
     tuples = list(itertools.product(range(a.num_points), repeat=n))
@@ -437,7 +438,6 @@ def oracle_truncated_family(
     n: int,
     *,
     require_stable: bool = True,
-    size_guard: int | None = None,
 ) -> tuple[FiniteModel, Partition]:
     """The family of event-conditioned i.i.d. powers, with the
     sigma-algebra the event powers generate.
@@ -457,7 +457,7 @@ def oracle_truncated_family(
                 f"events not intersection-stable: {event_label(m0, evs[i])} and "
                 f"{event_label(m0, evs[j])}"
             )
-    powered = oracle_power_model(m0, n, size_guard=size_guard)
+    powered = oracle_power_model(m0, n)
     tuples = power_tuples(m0, n)
     params = []
     rows = []

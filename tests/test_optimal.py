@@ -31,14 +31,14 @@ from fincomplete import (
     zero_unbiased_basis,
 )
 from fincomplete.cli import run
-from fincomplete.errors import CertificateError, NotSufficientError
+from fincomplete.errors import CertificateError, ExhaustionError, NotSufficientError
 from fincomplete.optimal import UmvueResult, _expectation_rows
 from fincomplete.serialization import model_to_dict, save_model_file
 from fincomplete.verify import Exhaustion
 
 from conftest import bernoulli_pair_grid, coin, coin_family, oracle_event_mass
 
-from test_checks import random_case, random_small_model
+from test_checks import random_case, random_huge_case, random_small_model
 
 
 def bernoulli_grid():
@@ -201,6 +201,9 @@ class TestOptimalSigmaAlgebra:
             k = m.num_params
             sub = SubmodelRef(tuple(sorted(rng.sample(range(k), rng.randint(1, k)))))
             assert optimal_sigma_algebra(m, sub) == oracle_dense_w_sigma(m, sub)
+        for _ in range(150):
+            m, sub = random_huge_case(rng)
+            assert optimal_sigma_algebra(m, sub) == oracle_dense_w_sigma(m, sub)
 
     def test_every_registry_submodel_matches_dense_w_oracle(self):
         for ce in ("CE52", "CE53", "CE54", "CE55"):
@@ -276,7 +279,7 @@ class TestOptimalSigmaAlgebra:
 def _unit_outside_kernel(rows, width):
     """The unit vector of the first column with a nonzero entry."""
     t = next(t for t in range(width) if any(row[t] for row in rows))
-    return tuple(Fraction(int(s == t)) for s in range(width))
+    return tuple(int(s == t) for s in range(width))
 
 
 @pytest.mark.parametrize(
@@ -715,6 +718,15 @@ class TestMeetOfOptimalSigmas:
                 pieces.append(("ov", SubmodelRef((0, k - 1))))
             _, rep = meet_of_optimal_sigmas(m, Exhaustion("e", tuple(pieces)))
             assert rep.passed
+
+    def test_exhaustion_must_cover_the_model(self):
+        m = fc.load("CE55").model
+        short = Exhaustion("short", (("theta1=1", SubmodelRef.of(0, 1)),))
+        with pytest.raises(ExhaustionError, match="exhaustion 'short' does not cover the model"):
+            meet_of_optimal_sigmas(m, short)
+        beyond = Exhaustion("beyond", (("all", SubmodelRef.of(0, 1, 2, 3, 4)),))
+        with pytest.raises(ValueError, match="submodel index out of range"):
+            meet_of_optimal_sigmas(m, beyond)
 
 
 class TestPiecewiseOptimality:
