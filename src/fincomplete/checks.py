@@ -1,9 +1,9 @@
 """Decision procedures for structural properties of a partition relative to
-a submodel: completeness, sufficiency, minimal sufficiency, ancillarity,
+a model: completeness, sufficiency, minimal sufficiency, ancillarity,
 independence, homogeneity, and the Basu consistency check.
 
-Completeness of a partition C for a submodel is a rank condition: with B+
-the blocks of C meeting the submodel's support union, C is complete exactly
+Completeness of a partition C for a model is a rank condition: with B+
+the blocks of C meeting the model's support union, C is complete exactly
 when the parameter-by-block matrix of block masses has trivial kernel.  A
 nontrivial kernel vector, lifted to a block-constant function, is a
 certificate of incompleteness (its expectations vanish yet it is nonzero on
@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import CertificateError
-from .model import FiniteModel, Partition, RationalFunction, SubmodelRef, support_union
+from .model import FiniteModel, Partition, RationalFunction, support_union
 from .reports import (
     VERDICT_FAIL,
     VERDICT_PASS,
@@ -40,21 +40,21 @@ FINITE_BOUNDED_NOTE = (
 )
 
 
-def _require_size(c: Partition, m: FiniteModel) -> None:
-    if c.size != m.num_points:
-        raise ValueError(f"partition has {c.size} points, the model {m.num_points}")
+def _require_size(x: Partition | RationalFunction, m: FiniteModel, what: str = "partition") -> None:
+    """Reject a point-indexed argument whose length is not the point count."""
+    if x.size != m.num_points:
+        raise ValueError(f"{what} has {x.size} points, the model {m.num_points}")
 
 
-def _block_masses(c: Partition, m: FiniteModel, sub: SubmodelRef):
-    """Per submodel member, in submodel order: the positive integer ``s``
-    its row is scaled by and the scaled row; then the live blocks (nonzero
-    mass: on nonnegative masses, the blocks meeting the support union) and
-    each member's scaled live block masses, summed in ``int``.  Each mass
-    is the true mass times ``s``, which changes no rank, kernel or
+def _block_masses(c: Partition, m: FiniteModel):
+    """Per member, in model order: the positive integer ``s`` its row is
+    scaled by and the scaled row; then the live blocks (nonzero mass: on
+    nonnegative masses, the blocks meeting the support union) and each
+    member's scaled live block masses, summed in ``int``.  Each mass is the
+    true mass times ``s``, which changes no rank, kernel or
     cross-multiplication."""
-    sub.validate(m)
     _require_size(c, m)
-    scales, points = zip(*(linalg.scale_to_integers(m.prob[i]) for i in sub.param_indices))
+    scales, points = zip(*map(linalg.scale_to_integers, m.prob))
     sums = []
     for ints in points:
         masses = [0] * c.num_blocks
@@ -80,26 +80,26 @@ def _complete(c: Partition, live: list[int], rows: list[list[int]]) -> CheckRepo
     return CheckReport("complete", VERDICT_FAIL, {"function": witness}, notes)
 
 
-def is_complete(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
-    """Decide completeness of the partition for the submodel.
+def is_complete(c: Partition, m: FiniteModel) -> CheckReport:
+    """Decide completeness of the partition for the model.
 
     Pass means: every block-constant function with zero expectation under
-    all submodel members vanishes on the support union.  On fail the
-    witness is such a function that is not almost surely zero; it is
-    re-checked exactly (M v = 0, v != 0) before it is returned, and a
-    vector failing that raises ``CertificateError`` instead.
+    all members vanishes on the support union.  On fail the witness is
+    such a function that is not almost surely zero; it is re-checked
+    exactly (M v = 0, v != 0) before it is returned, and a vector failing
+    that raises ``CertificateError`` instead.
     """
-    _, _, live, rows = _block_masses(c, m, sub)
+    _, _, live, rows = _block_masses(c, m)
     return _complete(c, live, rows)
 
 
-def is_boundedly_complete(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
-    rep = is_complete(c, m, sub)
+def is_boundedly_complete(c: Partition, m: FiniteModel) -> CheckReport:
+    rep = is_complete(c, m)
     return CheckReport("boundedly-complete", rep.verdict, rep.witness, rep.notes + (FINITE_BOUNDED_NOTE,))
 
 
-def _sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef, points, live, rows) -> CheckReport:
-    blocks, idx = c.blocks(), sub.param_indices
+def _sufficient(c: Partition, m: FiniteModel, points, live, rows) -> CheckReport:
+    blocks = c.blocks()
     for k, b in enumerate(live):
         positive = [(i, row[k]) for i, row in enumerate(rows) if row[k] > 0]
         if not positive:
@@ -111,13 +111,13 @@ def _sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef, points, live, ro
                     witness = {
                         "point": m.points[x],
                         "block": tuple(m.points[y] for y in blocks[b]),
-                        "params": (m.params[idx[i]], m.params[idx[j]]),
+                        "params": (m.params[i], m.params[j]),
                     }
                     return CheckReport("sufficient", VERDICT_FAIL, witness, ())
     return CheckReport("sufficient", VERDICT_PASS, None, ())
 
 
-def is_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
+def is_sufficient(c: Partition, m: FiniteModel) -> CheckReport:
     """Decide sufficiency: conditional masses within each block must agree
     across all parameters giving the block positive mass.
 
@@ -127,20 +127,20 @@ def is_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport
     fail the witness names the first offending (point, block, parameter
     pair), the same one an all-pairs scan finds first.
     """
-    _, points, live, rows = _block_masses(c, m, sub)
-    return _sufficient(c, m, sub, points, live, rows)
+    _, points, live, rows = _block_masses(c, m)
+    return _sufficient(c, m, points, live, rows)
 
 
-def is_complete_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
+def is_complete_sufficient(c: Partition, m: FiniteModel) -> CheckReport:
     """Completeness and sufficiency, combined as "complete-sufficient",
     from one set of block masses."""
-    _, points, live, rows = _block_masses(c, m, sub)
+    _, points, live, rows = _block_masses(c, m)
     return combine_reports(
-        "complete-sufficient", _complete(c, live, rows), _sufficient(c, m, sub, points, live, rows)
+        "complete-sufficient", _complete(c, live, rows), _sufficient(c, m, points, live, rows)
     )
 
 
-def minimal_sufficient_partition(m: FiniteModel, sub: SubmodelRef) -> Partition:
+def minimal_sufficient_partition(m: FiniteModel) -> Partition:
     """The minimal sufficient partition: on the support union, points share
     a block exactly when their likelihood vectors are proportional, that
     is, when the primitive integer vectors on their rays are equal.
@@ -151,20 +151,18 @@ def minimal_sufficient_partition(m: FiniteModel, sub: SubmodelRef) -> Partition:
     convention keeps minimality decidable.  Comparisons elsewhere in this
     module are always restricted to the support union.
     """
-    sub.validate(m)
-    columns = zip(*(m.prob[i] for i in sub.param_indices))
-    return Partition(tuple(linalg.primitive(linalg.clear_denominators(column)) for column in columns))
+    return Partition(tuple(linalg.primitive(linalg.clear_denominators(column)) for column in zip(*m.prob)))
 
 
-def is_minimal_sufficient(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
+def is_minimal_sufficient(c: Partition, m: FiniteModel) -> CheckReport:
     """Sufficiency plus agreement with the minimal sufficient partition on
     the support union (equality up to null sets)."""
-    suff = is_sufficient(c, m, sub)
-    minimal = minimal_sufficient_partition(m, sub)
-    su = support_union(m, sub)
+    suff = is_sufficient(c, m)
+    minimal = minimal_sufficient_partition(m)
+    su = support_union(m)
     agrees = c.restricted_blocks(su) == minimal.restricted_blocks(su)
     notes: tuple[str, ...] = ()
-    if not is_homogeneous(m, sub).passed:
+    if not is_homogeneous(m).passed:
         notes += (
             "family not homogeneous; minimality is decided by the finite-space "
             "likelihood-vector construction restricted to the support union",
@@ -192,35 +190,32 @@ def _first_disagreeing_pair(p: Partition, q: Partition, su: frozenset[int]) -> t
     raise AssertionError("partitions agree on the subset")
 
 
-def is_ancillary(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
-    """Ancillarity: every block mass is constant across the submodel.
+def is_ancillary(c: Partition, m: FiniteModel) -> CheckReport:
+    """Ancillarity: every block mass is constant across the model.
     Masses are compared by cross-multiplying with the row scales; a block
     of mass zero under every member never fails."""
-    scales, _, live, rows = _block_masses(c, m, sub)
-    idx = sub.param_indices
+    scales, _, live, rows = _block_masses(c, m)
     for k, b in enumerate(live):
-        for j in range(1, len(idx)):
+        for j in range(1, len(rows)):
             if rows[j][k] * scales[0] != rows[0][k] * scales[j]:
                 witness = {
                     "block": tuple(m.points[y] for y in c.blocks()[b]),
-                    "params": (m.params[idx[0]], m.params[idx[j]]),
+                    "params": (m.params[0], m.params[j]),
                     "masses": (Fraction(rows[0][k], scales[0]), Fraction(rows[j][k], scales[j])),
                 }
                 return CheckReport("ancillary", VERDICT_FAIL, witness, ())
     return CheckReport("ancillary", VERDICT_PASS, None, ())
 
 
-def are_independent(
-    c1: Partition, c2: Partition, m: FiniteModel, sub: SubmodelRef
-) -> CheckReport:
-    """Independence of two partitions under every submodel member.  On a
-    member's row scaled to integers by ``s``, P(B1 & B2) = P(B1) P(B2)
-    reads s joint = p1 p2."""
-    scales, points, _, _ = _block_masses(c1, m, sub)
+def are_independent(c1: Partition, c2: Partition, m: FiniteModel) -> CheckReport:
+    """Independence of two partitions under every member.  On a member's
+    row scaled to integers by ``s``, P(B1 & B2) = P(B1) P(B2) reads
+    s joint = p1 p2."""
+    scales, points, _, _ = _block_masses(c1, m)
     _require_size(c2, m)
     blocks1 = [set(b) for b in c1.blocks()]
     blocks2 = [set(b) for b in c2.blocks()]
-    for i, s, ints in zip(sub.param_indices, scales, points):
+    for param, s, ints in zip(m.params, scales, points):
         for b1 in blocks1:
             p1 = sum(ints[x] for x in b1)
             for b2 in blocks2:
@@ -230,7 +225,7 @@ def are_independent(
                     witness = {
                         "block1": tuple(m.points[y] for y in sorted(b1)),
                         "block2": tuple(m.points[y] for y in sorted(b2)),
-                        "param": m.params[i],
+                        "param": param,
                         "joint": Fraction(joint, s),
                         "product": Fraction(p1 * p2, s * s),
                     }
@@ -238,17 +233,14 @@ def are_independent(
     return CheckReport("independent", VERDICT_PASS, None, ())
 
 
-def is_homogeneous(m: FiniteModel, sub: SubmodelRef) -> CheckReport:
+def is_homogeneous(m: FiniteModel) -> CheckReport:
     """Mutual absolute continuity; on a finite space, equal supports."""
-    sub.validate(m)
-    idx = sub.param_indices
-    base = m.support(idx[0])
-    base_set = set(base)
-    for j in idx[1:]:
+    base = set(m.support(0))
+    for j in range(1, m.num_params):
         supp = set(m.support(j))
-        if supp != base_set:
-            x = min(base_set.symmetric_difference(supp))
-            witness = {"params": (m.params[idx[0]], m.params[j]), "point": m.points[x]}
+        if supp != base:
+            x = min(base.symmetric_difference(supp))
+            witness = {"params": (m.params[0], m.params[j]), "point": m.points[x]}
             return CheckReport("homogeneous", VERDICT_FAIL, witness, ())
     return CheckReport("homogeneous", VERDICT_PASS, None, ())
 
@@ -265,23 +257,21 @@ PARTITION_CHECKS = {
 }
 
 
-def check_partition(prop: str, c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
+def check_partition(prop: str, c: Partition, m: FiniteModel) -> CheckReport:
     """Decide the one-partition property named ``prop``."""
-    return globals()[PARTITION_CHECKS[prop]](c, m, sub)
+    return globals()[PARTITION_CHECKS[prop]](c, m)
 
 
-def basu_consistency(
-    c_cs: Partition, c_anc: Partition, m: FiniteModel, sub: SubmodelRef
-) -> CheckReport:
+def basu_consistency(c_cs: Partition, c_anc: Partition, m: FiniteModel) -> CheckReport:
     """Basu's theorem as a consistency check: when the first partition is
     complete sufficient and the second ancillary, the two must be
     independent.  When the hypotheses fail the verdict is vacuous."""
-    _, points, live, rows = _block_masses(c_cs, m, sub)
+    _, points, live, rows = _block_masses(c_cs, m)
     hyp = combine_reports(
         "basu-hypotheses",
         _complete(c_cs, live, rows),
-        _sufficient(c_cs, m, sub, points, live, rows),
-        is_ancillary(c_anc, m, sub),
+        _sufficient(c_cs, m, points, live, rows),
+        is_ancillary(c_anc, m),
     )
     if hyp.failed:
         return CheckReport(
@@ -290,5 +280,5 @@ def basu_consistency(
             None,
             ("hypotheses not met",) + hyp.notes,
         )
-    indep = are_independent(c_cs, c_anc, m, sub)
+    indep = are_independent(c_cs, c_anc, m)
     return CheckReport("basu-consistency", indep.verdict, indep.witness, hyp.notes + indep.notes)

@@ -37,8 +37,8 @@ from .errors import (
 from .model import (
     BUILTIN_PARTITIONS,
     EVENT_KINDS,
+    FiniteModel,
     Partition,
-    SubmodelRef,
     max_partition,
     min_max_partition,
     min_partition,
@@ -116,7 +116,7 @@ POWER_PARTITIONS = {
     "min": min_partition,
     "max": max_partition,
     "min-max": min_max_partition,
-    "optimal": lambda m0, n: optimal_sigma_algebra(power_model(m0, n), SubmodelRef.full(m0)),
+    "optimal": lambda m0, n: optimal_sigma_algebra(power_model(m0, n)),
 }
 
 
@@ -150,6 +150,11 @@ def _partition(doc: ModelDocument, name: str, n: int = 1, builtins=BUILTIN_PARTI
     raise InputError("--partition must name a partition of the n-fold power space or one of " + ", ".join(builtins))
 
 
+def _submodel(doc: ModelDocument, selector: str) -> FiniteModel:
+    """The model file's model restricted to the ``--sub`` selector."""
+    return parse_submodel(doc.model, selector).restrict(doc.model)
+
+
 def _emit_check(report: CheckReport, as_json: bool) -> int:
     if as_json:
         print(dumps(check_report_to_dict(report)), end="")
@@ -181,8 +186,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_check(args) -> int:
     doc = _load(args.model)
-    m = doc.model
-    sub = parse_submodel(m, args.sub)
+    m = _submodel(doc, args.sub)
 
     def part(name_arg, flag):
         if name_arg is None:
@@ -191,13 +195,13 @@ def _cmd_check(args) -> int:
 
     prop = args.property
     if prop == "homogeneous":
-        report = is_homogeneous(m, sub)
+        report = is_homogeneous(m)
     elif prop == "independent":
-        report = are_independent(part(args.partition, "--partition"), part(args.partition2, "--partition2"), m, sub)
+        report = are_independent(part(args.partition, "--partition"), part(args.partition2, "--partition2"), m)
     elif prop == "basu":
-        report = basu_consistency(part(args.partition, "--partition"), part(args.partition2, "--partition2"), m, sub)
+        report = basu_consistency(part(args.partition, "--partition"), part(args.partition2, "--partition2"), m)
     else:
-        report = check_partition(prop, part(args.partition, "--partition"), m, sub)
+        report = check_partition(prop, part(args.partition, "--partition"), m)
     return _emit_check(report, args.json)
 
 
@@ -205,7 +209,7 @@ def _cmd_partition(args) -> int:
     """``minimal`` and ``optimal-sigma``: print one partition of the points."""
     doc = _load(args.model)
     find = minimal_sufficient_partition if args.command == "minimal" else optimal_sigma_algebra
-    part = find(doc.model, parse_submodel(doc.model, args.sub))
+    part = find(_submodel(doc, args.sub))
     if args.json:
         print(dumps({"partition": list(part.block_id)}), end="")
     else:
@@ -219,7 +223,8 @@ def _cmd_umvue(args) -> int:
     values = [parse_rational(t) for t in args.estimand.split(",")]
     if len(values) != m.num_params:
         raise InputError("estimand needs one value per parameter")
-    result = umvue(m, parse_submodel(m, args.sub), Estimand(tuple(values)))
+    sub = parse_submodel(m, args.sub)
+    result = umvue(sub.restrict(m), Estimand(tuple(values[i] for i in sub.param_indices)))
     payload = {
         "optimal_partition": list(result.optimal_partition.block_id),
         "estimator": None
@@ -248,12 +253,8 @@ def _cmd_umvue(args) -> int:
 
 def _cmd_rao_blackwell(args) -> int:
     doc = _load(args.model)
-    m = doc.model
     out = rao_blackwell(
-        doc.function(args.function),
-        _partition(doc, args.partition),
-        m,
-        parse_submodel(m, args.sub),
+        doc.function(args.function), _partition(doc, args.partition), _submodel(doc, args.sub)
     )
     if args.json:
         print(dumps({"estimator": [rational_str(v) for v in out.values]}), end="")

@@ -96,8 +96,8 @@ class FiniteModel:
     def restrict_params(self, indices: Sequence[int]) -> "FiniteModel":
         return FiniteModel(
             points=self.points,
-            params=tuple(self.params[i] for i in indices),
-            prob=tuple(self.prob[i] for i in indices),
+            params=tuple([self.params[i] for i in indices]),
+            prob=tuple([self.prob[i] for i in indices]),
         )
 
 
@@ -138,6 +138,11 @@ class SubmodelRef:
     def validate(self, m: FiniteModel) -> None:
         if self.param_indices[-1] >= m.num_params:
             raise ValueError("submodel index out of range")
+
+    def restrict(self, m: FiniteModel) -> FiniteModel:
+        """The submodel as a model: its parameters' labels and rows."""
+        self.validate(m)
+        return m.restrict_params(self.param_indices)
 
 
 _SECTION_RE = re.compile(r"^theta(\d+)=(.*)$")
@@ -340,17 +345,13 @@ def validate_model(m: FiniteModel) -> CheckReport:
     return CheckReport(prop, "pass", None, ())
 
 
-def support_union(m: FiniteModel, sub: SubmodelRef) -> frozenset[int]:
-    """Points carrying positive mass under some parameter of the submodel.
+def support_union(m: FiniteModel) -> frozenset[int]:
+    """Points carrying positive mass under some parameter of the model.
 
-    A statement holds almost surely for the submodel exactly when it holds
-    on this set.
+    A statement holds almost surely for the model exactly when it holds on
+    this set.
     """
-    sub.validate(m)
-    out: set[int] = set()
-    for i in sub.param_indices:
-        out.update(m.support(i))
-    return frozenset(out)
+    return frozenset(x for i in range(m.num_params) for x in m.support(i))
 
 
 def conditional_expectation(

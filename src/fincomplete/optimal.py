@@ -1,10 +1,10 @@
 """Optimal unbiased estimation on finite models.
 
-The zero-unbiased space of a submodel is the kernel of its expectation
+The zero-unbiased space of a model is the kernel of its expectation
 matrix P.  The optimal partition is the partition of the sigma-algebra of
-events A with P(1_A h) = 0 for every zero-unbiased h and every submodel
-member P.  A function f has P(f h) = 0 for all such h and P exactly when
-P_i * f (pointwise) lies in the row space of P for every member i; those f
+events A with P(1_A h) = 0 for every zero-unbiased h and every member P.
+A function f has P(f h) = 0 for all such h and P exactly when P_i * f
+(pointwise) lies in the row space of P for every member i; those f
 contain the constants and are closed under pointwise product, so they are
 exactly the functions constant on the atoms.  In reduced form the row
 space test fixes f on the support union by its values g on the pivot
@@ -24,13 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .checks import _block_masses, _sufficient, is_sufficient
+from .checks import _block_masses, _require_size, _sufficient, is_sufficient
 from .errors import CertificateError, NotSufficientError
 from .model import (
     FiniteModel,
     Partition,
     RationalFunction,
-    SubmodelRef,
     meet,
     support_union,
 )
@@ -44,7 +43,7 @@ OPTIMALITY_NOTE = (
 
 @dataclass(frozen=True)
 class Estimand:
-    """A target value per parameter of the ambient model."""
+    """A target value per parameter of the model."""
 
     values: tuple[Fraction, ...]
 
@@ -80,26 +79,25 @@ class UmvueResult:
     note: str
 
 
-def _expectation_rows(m: FiniteModel, sub: SubmodelRef):
-    return [m.prob[i] for i in sub.param_indices]
+def _estimand_values(m: FiniteModel, estimand: Estimand) -> tuple[Fraction, ...]:
+    n = len(estimand.values)
+    if n != m.num_params:
+        raise ValueError(f"estimand has {n} values, the model {m.num_params} parameters")
+    return estimand.values
 
 
-def zero_unbiased_basis(m: FiniteModel, sub: SubmodelRef) -> list[RationalFunction]:
+def zero_unbiased_basis(m: FiniteModel) -> list[RationalFunction]:
     """Canonical exact basis of the functions with zero expectation under
-    every submodel member (possibly empty)."""
-    sub.validate(m)
-    basis = linalg.kernel_basis(_expectation_rows(m, sub), m.num_points)
-    return [RationalFunction(v) for v in basis]
+    every member (possibly empty)."""
+    return [RationalFunction(v) for v in linalg.kernel_basis(m.prob, m.num_points)]
 
 
-def unbiased_class(m: FiniteModel, sub: SubmodelRef, estimand: Estimand) -> UnbiasedClass:
+def unbiased_class(m: FiniteModel, estimand: Estimand) -> UnbiasedClass:
     """Solve the unbiasedness equations; inestimability is a reported
-    state, not an error."""
-    sub.validate(m)
-    rhs = [estimand.values[i] for i in sub.param_indices]
-    sol = linalg.solve(_expectation_rows(m, sub), rhs)
+    state, not an error.  The estimand needs one value per parameter."""
+    sol = linalg.solve(m.prob, _estimand_values(m, estimand))
     particular = RationalFunction(sol) if sol is not None else None
-    return UnbiasedClass(particular, tuple(zero_unbiased_basis(m, sub)))
+    return UnbiasedClass(particular, tuple(zero_unbiased_basis(m)))
 
 
 def _is_prime(n: int) -> bool:
@@ -183,8 +181,8 @@ def _in_row_space(v, red, pivots, d) -> bool:
     return all(d * vx == sum(c * row[x] for c, row in terms) for x, vx in enumerate(v))
 
 
-def optimal_sigma_algebra(m: FiniteModel, sub: SubmodelRef) -> Partition:
-    """The partition of the optimal sigma-algebra of the submodel.
+def optimal_sigma_algebra(m: FiniteModel) -> Partition:
+    """The partition of the optimal sigma-algebra of the model.
 
     The integer member rows are reduced once to rows red_t with pivot
     columns pi_t and pivot value d.  At a support point x the first member
@@ -207,8 +205,7 @@ def optimal_sigma_algebra(m: FiniteModel, sub: SubmodelRef) -> Partition:
     full column rank, and then d M = M R, R = red|pi, gives R = d I.  The
     clause stays as a direct check.
     """
-    sub.validate(m)
-    ps = [linalg.clear_denominators(m.prob[i]) for i in sub.param_indices]
+    ps = [linalg.clear_denominators(row) for row in m.prob]
     red, pivots, d = linalg._eliminate(ps, reduce=True)
     r = len(pivots)
     cols = list(zip(*red[:r]))
@@ -250,13 +247,12 @@ def optimal_sigma_algebra(m: FiniteModel, sub: SubmodelRef) -> Partition:
     return part
 
 
-def is_optimal_unbiased(
-    g: RationalFunction, m: FiniteModel, sub: SubmodelRef
-) -> CheckReport:
+def is_optimal_unbiased(g: RationalFunction, m: FiniteModel) -> CheckReport:
     """Optimality of an estimator for its own expectation: constancy on
     every block of the optimal partition that meets the support union."""
-    part = optimal_sigma_algebra(m, sub)
-    su = support_union(m, sub)
+    _require_size(g, m, "function")
+    part = optimal_sigma_algebra(m)
+    su = support_union(m)
     for block in part.blocks():
         live = [x for x in block if x in su]
         if not live:
@@ -273,20 +269,17 @@ def is_optimal_unbiased(
     return CheckReport("optimal-unbiased", VERDICT_PASS, None, (OPTIMALITY_NOTE,))
 
 
-def covariance_criterion(
-    g: RationalFunction, m: FiniteModel, sub: SubmodelRef
-) -> CheckReport:
-    """Vanishing of P(g h) for every zero-unbiased h and submodel member.
+def covariance_criterion(g: RationalFunction, m: FiniteModel) -> CheckReport:
+    """Vanishing of P(g h) for every zero-unbiased h and member.
 
     Measurability with respect to the optimal partition implies a pass;
     the converse for general g is reported by the comparison harness, not
     asserted.
     """
-    sub.validate(m)
-    basis = zero_unbiased_basis(m, sub)
-    for j, h in enumerate(basis):
+    _require_size(g, m, "function")
+    for j, h in enumerate(zero_unbiased_basis(m)):
         prod = [a * b for a, b in zip(g.values, h.values)]
-        for i in sub.param_indices:
+        for i in range(m.num_params):
             val = m.expectation(i, prod)
             if val != 0:
                 witness = {"param": m.params[i], "basis_index": j, "value": val}
@@ -294,21 +287,19 @@ def covariance_criterion(
     return CheckReport("covariance-criterion", VERDICT_PASS, None, ())
 
 
-def umvue(
-    m: FiniteModel, sub: SubmodelRef, estimand: Estimand
-) -> UmvueResult:
+def umvue(m: FiniteModel, estimand: Estimand) -> UmvueResult:
     """The optimal unbiased estimator of an estimand, when one exists.
 
     Solves the unbiasedness equations over functions constant on the
     blocks of the optimal partition; blocks of total mass zero get the
-    value 0.
+    value 0.  The estimand needs one value per parameter.
     """
-    part = optimal_sigma_algebra(m, sub)
-    scales, _, live, rows = _block_masses(part, m, sub)
-    rhs = [estimand.values[i] for i in sub.param_indices]
+    rhs = _estimand_values(m, estimand)
+    part = optimal_sigma_algebra(m)
+    scales, _, live, rows = _block_masses(part, m)
     sol = linalg.solve(rows, [v * s for v, s in zip(rhs, scales)])
     if sol is None:
-        estimable = linalg.solve(_expectation_rows(m, sub), rhs) is not None
+        estimable = linalg.solve(m.prob, rhs) is not None
         note = (
             "estimable, but no estimator measurable for the optimal partition"
             if estimable
@@ -324,14 +315,12 @@ def umvue(
     )
 
 
-def exists_complete_sufficient(
-    m: FiniteModel, sub: SubmodelRef
-) -> CheckReport:
+def exists_complete_sufficient(m: FiniteModel) -> CheckReport:
     """Existence of a complete sufficient partition, decided outright:
     one exists exactly when the optimal partition is sufficient, and then
     the optimal partition is the canonical one (attached as witness)."""
-    part = optimal_sigma_algebra(m, sub)
-    suff = is_sufficient(part, m, sub)
+    part = optimal_sigma_algebra(m)
+    suff = is_sufficient(part, m)
     if suff.passed:
         return CheckReport(
             "exists-complete-sufficient",
@@ -347,18 +336,17 @@ def exists_complete_sufficient(
     )
 
 
-def rao_blackwell(
-    g: RationalFunction, c: Partition, m: FiniteModel, sub: SubmodelRef
-) -> RationalFunction:
+def rao_blackwell(g: RationalFunction, c: Partition, m: FiniteModel) -> RationalFunction:
     """Conditional expectation of g given a sufficient partition.
 
     Sufficiency makes the block averages parameter-free wherever a block
     has positive mass (verified here); blocks of mass zero under every
-    submodel member get the value 0.  Raises when the partition is not
+    member get the value 0.  Raises when the partition is not
     sufficient: the operation is undefined otherwise.
     """
-    _, points, live, rows = _block_masses(c, m, sub)
-    suff = _sufficient(c, m, sub, points, live, rows)
+    _require_size(g, m, "function")
+    _, points, live, rows = _block_masses(c, m)
+    suff = _sufficient(c, m, points, live, rows)
     if not suff.passed:
         raise NotSufficientError(f"partition is not sufficient: witness {suff.witness}")
     values = [Fraction(0)] * m.num_points
@@ -381,19 +369,17 @@ def rao_blackwell(
 def meet_of_optimal_sigmas(
     m: FiniteModel, exhaustion
 ) -> tuple[Partition, CheckReport]:
-    """Meet of the submodel optimal partitions along an exhaustion, with a
+    """Meet of the pieces' optimal partitions along an exhaustion, with a
     report that the meet is coarser than or equal to the full-model
     optimal partition up to null sets (restricted to the support union).
     An exhaustion that does not cover the model raises ``ExhaustionError``."""
-    exhaustion.validate(m)
-    full_sub = SubmodelRef.full(m)
     acc: Partition | None = None
-    for _, piece in exhaustion.pieces:
-        part = optimal_sigma_algebra(m, piece)
+    for _, piece in exhaustion.restrict(m):
+        part = optimal_sigma_algebra(piece)
         acc = part if acc is None else meet(acc, part)
     assert acc is not None
-    full_part = optimal_sigma_algebra(m, full_sub)
-    su = support_union(m, full_sub)
+    full_part = optimal_sigma_algebra(m)
+    su = support_union(m)
     pts = sorted(su)
     for a in range(len(pts)):
         for b in range(a + 1, len(pts)):

@@ -112,11 +112,22 @@ def _resolve_partition(entry: RegistryEntry, model: FiniteModel, name: str) -> P
     return entry.partitions[name]
 
 
-def _resolve_model(entry: RegistryEntry, args: dict) -> FiniteModel:
-    name = args.get("model", "main")
-    if name == "main":
-        return entry.model
-    return entry.components[name]
+# the operations that run on a submodel; each row of one must name its
+# ``sub`` selector
+_SUBMODEL_OPS = frozenset((
+    "support_union", "check", "minimal_partition", "optimal_partition", "exists_complete_sufficient",
+    "incompleteness_witness",
+))
+
+
+def _resolve_model(entry: RegistryEntry, row: ExpectedRow) -> FiniteModel:
+    """The row's model, restricted to its ``sub`` selector for the
+    operations that run on a submodel."""
+    name = row.args.get("model", "main")
+    m = entry.model if name == "main" else entry.components[name]
+    if row.op in _SUBMODEL_OPS:
+        return parse_submodel(m, row.args["sub"]).restrict(m)
+    return m
 
 
 def _check_result(rep: CheckReport) -> dict:
@@ -135,23 +146,21 @@ def _theorem_result(rep: TheoremReport) -> dict:
 def execute_row(entry: RegistryEntry, row: ExpectedRow) -> dict:
     """Run one row's operation and return the actual result in the same
     shape as the frozen expectation."""
-    m = _resolve_model(entry, row.args)
+    m = _resolve_model(entry, row)
     op = row.op
     if op == "validate":
         return {"verdict": validate_model(m).verdict}
     if op == "support_union":
-        su = support_union(m, parse_submodel(m, row.args["sub"]))
+        su = support_union(m)
         return {"points": [m.points[x] for x in sorted(su)]}
     if op == "check":
-        sub = parse_submodel(m, row.args["sub"])
         prop = row.args["property"]
         if prop == "homogeneous":
-            return _check_result(is_homogeneous(m, sub))
+            return _check_result(is_homogeneous(m))
         part = _resolve_partition(entry, m, row.args["partition"])
-        return _check_result(check_partition(prop, part, m, sub))
+        return _check_result(check_partition(prop, part, m))
     if op == "minimal_partition":
-        sub = parse_submodel(m, row.args["sub"])
-        return {"block_id": list(minimal_sufficient_partition(m, sub).block_id)}
+        return {"block_id": list(minimal_sufficient_partition(m).block_id)}
     if op == "join_partitions":
         p = _resolve_partition(entry, m, row.args["first"])
         q = _resolve_partition(entry, m, row.args["second"])
@@ -163,11 +172,9 @@ def execute_row(entry: RegistryEntry, row: ExpectedRow) -> dict:
         out = conditional_expectation(h, part, m, theta)
         return {"values": [rational_str(v) for v in out.values]}
     if op == "optimal_partition":
-        sub = parse_submodel(m, row.args["sub"])
-        return {"block_id": list(optimal_sigma_algebra(m, sub).block_id)}
+        return {"block_id": list(optimal_sigma_algebra(m).block_id)}
     if op == "exists_complete_sufficient":
-        sub = parse_submodel(m, row.args["sub"])
-        rep = exists_complete_sufficient(m, sub)
+        rep = exists_complete_sufficient(m)
         out = {"verdict": rep.verdict}
         if rep.passed:
             out["partition"] = list(rep.witness["partition"].block_id)
@@ -178,10 +185,8 @@ def execute_row(entry: RegistryEntry, row: ExpectedRow) -> dict:
         return {"value": rational_str(m.expectation(theta, h.values))}
     if op == "incompleteness_witness":
         h = entry.functions[row.args["function"]]
-        sub = parse_submodel(m, row.args["sub"])
-        su = support_union(m, sub)
-        zero_means = all(m.expectation(i, h.values) == 0 for i in sub.param_indices)
-        nonzero = any(h.values[x] != 0 for x in su)
+        zero_means = all(m.expectation(i, h.values) == 0 for i in range(m.num_params))
+        nonzero = any(h.values[x] != 0 for x in support_union(m))
         return {"verdict": "pass" if zero_means and nonzero else "fail"}
     if op == "two_block_grid":
         c1 = _resolve_partition(entry, m, row.args["c1"])

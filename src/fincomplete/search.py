@@ -143,7 +143,7 @@ def _complete_factor(rng: random.Random, cfg: GenConfig, n_points: int) -> Finit
             tuple(f"t{i}" for i in range(k)),
             rows,
         )
-        if is_complete(Partition.discrete(n_points), m, SubmodelRef.full(m)).passed:
+        if is_complete(Partition.discrete(n_points), m).passed:
             return m
     raise GenerationError("could not draw a complete factor")
 
@@ -189,7 +189,7 @@ def _truncation_instance(rng: random.Random, cfg: GenConfig) -> MainInstance:
     if k0 == 1:
         c = Partition.trivial(powered.num_points)
     else:
-        rep = exists_complete_sufficient(powered, SubmodelRef.full(powered))
+        rep = exists_complete_sufficient(powered)
         if not rep.passed:
             raise GenerationError("power family admits no complete sufficient partition")
         c = rep.witness["partition"]
@@ -206,7 +206,7 @@ def _weighting_instance(rng: random.Random, cfg: GenConfig) -> MainInstance:
         tuple(f"t{i}" for i in range(k)),
         tuple(_draw_row(rng, cfg.mass_grid, n, True) for _ in range(k)),
     )
-    rep = exists_complete_sufficient(base, SubmodelRef.full(base))
+    rep = exists_complete_sufficient(base)
     if not rep.passed:
         raise GenerationError("base model admits no complete sufficient partition")
     c = rep.witness["partition"]

@@ -120,6 +120,11 @@ class Exhaustion:
         if covered != set(range(m.num_params)):
             raise ExhaustionError(f"exhaustion {self.label!r} does not cover the model")
 
+    def restrict(self, m: FiniteModel) -> tuple[tuple[str, FiniteModel], ...]:
+        """Each piece's label and submodel, once the cover is checked."""
+        self.validate(m)
+        return tuple((eta, m.restrict_params(piece.param_indices)) for eta, piece in self.pieces)
+
 
 def grid_axes(m: FiniteModel) -> tuple[list[str], list[str]]:
     """Axis values of a two-coordinate parameter grid, checked exhaustively."""
@@ -142,17 +147,17 @@ def grid_axes(m: FiniteModel) -> tuple[list[str], list[str]]:
 def _sectioned(
     check: Callable[..., CheckReport], m: FiniteModel, coord: int, v: str, *parts
 ) -> Check:
-    """``check(*parts, m, section)``, building the section of ``m`` at
+    """``check(*parts, section)``, building the section of ``m`` at
     ``coord == v`` only when the check runs."""
-    return lambda: check(*parts, m, SubmodelRef.section(m, coord, v))
+    return lambda: check(*parts, SubmodelRef.section(m, coord, v).restrict(m))
 
 
 def _discretely_complete(m: FiniteModel) -> CheckReport:
-    return is_complete(Partition.discrete(m.num_points), m, SubmodelRef.full(m))
+    return is_complete(Partition.discrete(m.num_points), m)
 
 
 def _join_complete(m: FiniteModel, c1: Partition, c2: Partition) -> CheckReport:
-    return is_complete(join(c1, c2), m, SubmodelRef.full(m))
+    return is_complete(join(c1, c2), m)
 
 
 JOINT_COMPLETENESS_FAMILIES = ("completeness", "sufficiency")
@@ -167,17 +172,16 @@ def joint_completeness_hypotheses(
     entries: list[Entry] = []
     joined: Partition | None = None
     for i, (part, exh) in enumerate(family):
-        exh.validate(m)
         joined = part if joined is None else join(joined, part)
-        for eta, piece in exh.pieces:
+        for eta, piece in exh.restrict(m):
             at = f"[{exh.label}={eta}]"
             entries += [
-                ("completeness", f"C{i + 1} complete{at}", partial(is_complete, part, m, piece)),
-                ("sufficiency", f"C{i + 1} sufficient{at}", partial(is_sufficient, part, m, piece)),
+                ("completeness", f"C{i + 1} complete{at}", partial(is_complete, part, piece)),
+                ("sufficiency", f"C{i + 1} sufficient{at}", partial(is_sufficient, part, piece)),
             ]
     if joined is None:
         raise ExhaustionError("family must contain at least one partition")
-    conclusion = partial(is_complete, joined, m, SubmodelRef.full(m))
+    conclusion = partial(is_complete, joined, m)
     return Hypotheses("joint-completeness", JOINT_COMPLETENESS_FAMILIES, tuple(entries), conclusion)
 
 
@@ -263,19 +267,18 @@ def verify_cks(q: FiniteModel, r: FiniteModel) -> TheoremReport:
     return cks_hypotheses(q, r).report()
 
 
-def _marginal_support_report(c: Partition, m: FiniteModel, sub: SubmodelRef) -> CheckReport:
+def _marginal_support_report(c: Partition, m: FiniteModel) -> CheckReport:
     """Homogeneity of the restricted family: supports of the block-mass
-    vectors must agree across the submodel."""
-    _, _, live, rows = _block_masses(c, m, sub)
-    idx = sub.param_indices
+    vectors must agree across the model."""
+    _, _, live, rows = _block_masses(c, m)
     base = [v > 0 for v in rows[0]]
-    for j in range(1, len(idx)):
+    for j in range(1, len(rows)):
         other = [v > 0 for v in rows[j]]
         if other != base:
             k = next(k for k in range(len(live)) if base[k] != other[k])
             witness = {
                 "block": tuple(m.points[y] for y in c.blocks()[live[k]]),
-                "params": (m.params[idx[0]], m.params[idx[j]]),
+                "params": (m.params[0], m.params[j]),
             }
             return CheckReport("restricted-homogeneous", VERDICT_FAIL, witness, ())
     return CheckReport("restricted-homogeneous", VERDICT_PASS, None, ())
@@ -317,9 +320,9 @@ def _connectedness_report(m: FiniteModel, family) -> CheckReport:
     return CheckReport("connected", VERDICT_FAIL, witness, ())
 
 
-def _sufficient_somewhere(c: Partition, m: FiniteModel, exh: Exhaustion) -> CheckReport:
+def _sufficient_somewhere(c: Partition, pieces) -> CheckReport:
     """Sufficiency of ``c`` for some piece, with each piece's verdict noted."""
-    results = [(eta, is_sufficient(c, m, piece)) for eta, piece in exh.pieces]
+    results = [(eta, is_sufficient(c, piece)) for eta, piece in pieces]
     verdict = VERDICT_PASS if any(r.passed for _, r in results) else VERDICT_FAIL
     notes = tuple(f"piece {eta}: {r.verdict}" for eta, r in results)
     return CheckReport("sufficient-somewhere", verdict, None, notes)
@@ -343,21 +346,21 @@ def homogeneous_connected_hypotheses(
         raise ValueError("weak form applies to mode='sufficient' with two partitions")
     check = checks[mode]
     entries: list[Entry] = [
-        ("homogeneity", "homogeneous", partial(is_homogeneous, m, SubmodelRef.full(m))),
+        ("homogeneity", "homogeneous", partial(is_homogeneous, m)),
         ("connectedness", "connected", partial(_connectedness_report, m, family)),
     ]
     joined: Partition | None = None
     for i, (part, exh) in enumerate(family):
-        exh.validate(m)
         joined = part if joined is None else join(joined, part)
+        pieces = exh.restrict(m)
         if weak and i == 1:
-            entries.append((mode, "C2 sufficient[some piece]", partial(_sufficient_somewhere, part, m, exh)))
+            entries.append((mode, "C2 sufficient[some piece]", partial(_sufficient_somewhere, part, pieces)))
         else:
-            for eta, piece in exh.pieces:
-                entries.append((mode, f"C{i + 1} {mode}[{exh.label}={eta}]", partial(check, part, m, piece)))
+            for eta, piece in pieces:
+                entries.append((mode, f"C{i + 1} {mode}[{exh.label}={eta}]", partial(check, part, piece)))
     if joined is None:
         raise ExhaustionError("family must contain at least one partition")
-    conclusion = partial(check, joined, m, SubmodelRef.full(m))
+    conclusion = partial(check, joined, m)
     return Hypotheses(f"homogeneous-connected[{mode}]", (), tuple(entries), conclusion)
 
 
@@ -389,9 +392,9 @@ def truncation_family_hypotheses(m0: FiniteModel, events, n: int) -> Hypotheses:
     entries: tuple[Entry, ...] = (
         ("stability", "events-intersection-stable", partial(_stability_report, m0, events)),
         ("single-distribution", "base-single-distribution",
-         partial(is_complete_sufficient, Partition.trivial(m0.num_points), m0, SubmodelRef.full(m0))),
+         partial(is_complete_sufficient, Partition.trivial(m0.num_points), m0)),
     )
-    conclusion = partial(is_complete_sufficient, sig, model, SubmodelRef.full(model))
+    conclusion = partial(is_complete_sufficient, sig, model)
     return Hypotheses("truncation-family", (), entries, conclusion)
 
 
@@ -436,11 +439,11 @@ def unknown_truncation_hypotheses(m0: FiniteModel, c: Partition, events, n: int)
     entries: tuple[Entry, ...] = (
         ("stability", "events-intersection-stable", partial(_stability_report, m0, events)),
         ("base-complete-sufficiency", "base-complete-sufficient",
-         partial(is_complete_sufficient, c, powered, SubmodelRef.full(powered))),
+         partial(is_complete_sufficient, c, powered)),
     )
 
     def conclusion() -> CheckReport:
-        result = is_complete_sufficient(join(c, sig), model, SubmodelRef.full(model))
+        result = is_complete_sufficient(join(c, sig), model)
         by_event, by_param = truncation_exhaustions(m0, model)
         route = verify_joint_completeness(model, [(c, by_event), (sig, by_param)])
         return result.with_notes(f"joint-completeness proof route status: {route.status}")
@@ -458,13 +461,12 @@ def smith_hypotheses(m: FiniteModel, c: Partition, q: RationalFunction, mode: st
     "b" carries complete sufficiency."""
     if mode not in ("a", "b"):
         raise ValueError(f"unknown mode {mode!r}")
-    full = SubmodelRef.full(m)
     weighted = weighted_model(m, q)
-    entries: list[Entry] = [("sufficiency", "sufficient-for-base", partial(is_sufficient, c, m, full))]
+    entries: list[Entry] = [("sufficiency", "sufficient-for-base", partial(is_sufficient, c, m))]
     if mode == "b":
-        entries.append(("completeness", "complete-for-base", partial(is_complete, c, m, full)))
+        entries.append(("completeness", "complete-for-base", partial(is_complete, c, m)))
     carried = is_sufficient if mode == "a" else is_complete_sufficient
-    conclusion = partial(carried, c, weighted, SubmodelRef.full(weighted))
+    conclusion = partial(carried, c, weighted)
     return Hypotheses(f"smith-weighting[{mode}]", (), tuple(entries), conclusion)
 
 
@@ -476,12 +478,11 @@ def bondesson_hypotheses(m: FiniteModel, exhaustion: Exhaustion, g: RationalFunc
     """Piecewise optimality implies optimality: an estimator optimal
     unbiased in every piece of an exhaustion is optimal unbiased in the
     whole model."""
-    exhaustion.validate(m)
     entries = tuple(
-        ("optimality", f"optimal[{exhaustion.label}={eta}]", partial(is_optimal_unbiased, g, m, piece))
-        for eta, piece in exhaustion.pieces
+        ("optimality", f"optimal[{exhaustion.label}={eta}]", partial(is_optimal_unbiased, g, piece))
+        for eta, piece in exhaustion.restrict(m)
     )
-    return Hypotheses("bondesson", (), entries, partial(is_optimal_unbiased, g, m, SubmodelRef.full(m)))
+    return Hypotheses("bondesson", (), entries, partial(is_optimal_unbiased, g, m))
 
 
 def verify_bondesson(m: FiniteModel, exhaustion: Exhaustion, g: RationalFunction) -> TheoremReport:

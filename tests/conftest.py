@@ -92,7 +92,7 @@ def oracle_is_complete(c: Partition, m: FiniteModel, sub: SubmodelRef) -> bool:
     matrix has trivial kernel iff some square row-subset has a nonzero
     determinant, each determinant expanded by the full permutation sum.
     Shares no code with the elimination-based engine."""
-    su = support_union(m, sub)
+    su = support_union(sub.restrict(m))
     blocks = [b for b in c.blocks() if set(b) & su]
     rows = [
         [sum((m.prob[i][x] for x in b), Fraction(0)) for b in blocks]
@@ -117,7 +117,7 @@ def oracle_is_complete(c: Partition, m: FiniteModel, sub: SubmodelRef) -> bool:
 
 def valid_incompleteness_witness(witness_fn, m: FiniteModel, sub: SubmodelRef) -> bool:
     """Re-check an incompleteness certificate from first principles."""
-    su = support_union(m, sub)
+    su = support_union(sub.restrict(m))
     zero_means = all(m.expectation(i, witness_fn.values) == 0 for i in sub.param_indices)
     nonzero = any(witness_fn.values[x] != 0 for x in su)
     return zero_means and nonzero

@@ -61,15 +61,14 @@ def test_criterion_1_registry_replay():
 
     # the headline claims, asserted directly on top of the row replay
     e55 = fc.load("CE55")
-    full55 = SubmodelRef.full(e55.model)
     for sel in ("theta1=1", "theta1=2", "theta2=1", "theta2=2"):
-        sec = fc.parse_submodel(e55.model, sel)
-        ok &= is_complete(e55.partitions["C1"], e55.model, sec).passed
-        ok &= is_sufficient(e55.partitions["C1"], e55.model, sec).passed
+        sec = fc.parse_submodel(e55.model, sel).restrict(e55.model)
+        ok &= is_complete(e55.partitions["C1"], sec).passed
+        ok &= is_sufficient(e55.partitions["C1"], sec).passed
     joined = join(e55.partitions["C1"], e55.partitions["C2"])
     ok &= joined.block_id == (0, 0, 1)
-    ok &= is_complete(joined, e55.model, full55).passed
-    ok &= is_sufficient(joined, e55.model, full55).failed
+    ok &= is_complete(joined, e55.model).passed
+    ok &= is_sufficient(joined, e55.model).failed
 
     e53 = fc.load("CE53")
     cks53 = fc.verify_cks(e53.components["Q"], e53.components["R"])
@@ -79,15 +78,14 @@ def test_criterion_1_registry_replay():
     ok &= all(e53.model.expectation(i, h53.values) == 0 for i in range(4))
 
     e54 = fc.load("CE54")
-    rfull = SubmodelRef.full(e54.components["R"])
-    ok &= is_complete(Partition.discrete(2), e54.components["R"], rfull).passed
+    ok &= is_complete(Partition.discrete(2), e54.components["R"]).passed
     cks54 = fc.verify_cks(e54.components["Q"], e54.components["R"])
     ok &= cks54.conclusion_result.failed
     h54 = e54.functions["abs-diff-centered"]
     ok &= all(e54.model.expectation(i, h54.values) == 0 for i in range(4))
 
     e52 = fc.load("CE52")
-    rep52 = is_complete(Partition.discrete(4), e52.model, SubmodelRef.full(e52.model))
+    rep52 = is_complete(Partition.discrete(4), e52.model)
     ok &= rep52.failed and rep52.witness["function"].values == (0, -1, 1, 0)
 
     elapsed = time.monotonic() - start
@@ -136,7 +134,7 @@ def test_criterion_3_oracle_equivalence():
         )
         c = Partition(tuple(rng.randint(0, n - 1) for _ in range(n)))
         sub = SubmodelRef.full(m)
-        rep = is_complete(c, m, sub)
+        rep = is_complete(c, m)
         if rep.passed == oracle_is_complete(c, m, sub):
             agree += 1
         if rep.failed:
@@ -170,18 +168,17 @@ def test_criterion_4_optimal_partition_suite():
     exists_cases = 0
     for _ in range(count):
         m = _random_model_for_optimal(rng, 12)
-        sub = SubmodelRef.full(m)
-        part = optimal_sigma_algebra(m, sub)
-        su = support_union(m, sub)
+        part = optimal_sigma_algebra(m)
+        su = support_union(m)
         pts = sorted(su)
 
         # completeness of the optimal partition
-        ok &= is_complete(part, m, sub).passed
+        ok &= is_complete(part, m).passed
 
         # below every sufficient partition tested, up to null sets
         sufficient_found = []
         candidates = [
-            minimal_sufficient_partition(m, sub),
+            minimal_sufficient_partition(m),
             Partition.discrete(m.num_points),
         ]
         for _ in range(6):
@@ -189,7 +186,7 @@ def test_criterion_4_optimal_partition_suite():
                 Partition(tuple(rng.randint(0, m.num_points - 1) for _ in range(m.num_points)))
             )
         for c in candidates:
-            if not is_sufficient(c, m, sub).passed:
+            if not is_sufficient(c, m).passed:
                 continue
             sufficient_found.append(c)
             for a in range(len(pts)):
@@ -199,15 +196,15 @@ def test_criterion_4_optimal_partition_suite():
                         ok &= part.block_id[x] == part.block_id[y]
 
         # existence decision and canonicity of the witness
-        rep = exists_complete_sufficient(m, sub)
+        rep = exists_complete_sufficient(m)
         if rep.passed:
             exists_cases += 1
             witness = rep.witness["partition"]
             ok &= witness == part
-            ok &= is_complete(witness, m, sub).passed
-            ok &= is_sufficient(witness, m, sub).passed
+            ok &= is_complete(witness, m).passed
+            ok &= is_sufficient(witness, m).passed
             for c in sufficient_found:
-                if is_complete(c, m, sub).passed:
+                if is_complete(c, m).passed:
                     ok &= c.restricted_blocks(su) == part.restricted_blocks(su)
                     ok &= part.refines(c)
     elapsed = time.monotonic() - start
@@ -253,22 +250,19 @@ def test_criterion_6_discrete_taxi_check():
     ok = True
     for n in (2, 3):
         model, sig = fc.truncated_family(m0, fc.interval_events(5), n)
-        full = SubmodelRef.full(model)
         ok &= sig == fc.min_max_partition(m0, n)
-        ok &= is_complete(sig, model, full).passed
-        ok &= is_sufficient(sig, model, full).passed
+        ok &= is_complete(sig, model).passed
+        ok &= is_sufficient(sig, model).passed
 
         model_u, sig_u = fc.truncated_family(m0, fc.upray_events(5), n)
         ok &= sig_u == fc.min_partition(m0, n)
-        fu = SubmodelRef.full(model_u)
-        ok &= is_complete(sig_u, model_u, fu).passed
-        ok &= is_sufficient(sig_u, model_u, fu).passed
+        ok &= is_complete(sig_u, model_u).passed
+        ok &= is_sufficient(sig_u, model_u).passed
 
         model_d, sig_d = fc.truncated_family(m0, fc.downray_events(5), n)
         ok &= sig_d == fc.max_partition(m0, n)
-        fd = SubmodelRef.full(model_d)
-        ok &= is_complete(sig_d, model_d, fd).passed
-        ok &= is_sufficient(sig_d, model_d, fd).passed
+        ok &= is_complete(sig_d, model_d).passed
+        ok &= is_sufficient(sig_d, model_d).passed
     elapsed = time.monotonic() - start
     _report("6 discrete-taxi-check", ok, elapsed, 5.0)
 
@@ -409,7 +403,7 @@ def test_discrete_completeness_witness_needs_no_kernel_basis(capsys, tmp_path, m
     m = fc.power_model(load_model_file(base).model, 6)
     assert m.num_points == 729
     sub = SubmodelRef.full(m)
-    rep = is_complete(Partition.discrete(m.num_points), m, sub)
+    rep = is_complete(Partition.discrete(m.num_points), m)
     assert rep.failed
     assert valid_incompleteness_witness(rep.witness["function"], m, sub)
 

@@ -133,7 +133,7 @@ def oracle_minimal_sufficient_partition(m: FiniteModel, sub: SubmodelRef) -> Par
     """Each support point joins the first earlier representative whose
     likelihood vector is proportional to its own."""
     sub.validate(m)
-    su = support_union(m, sub)
+    su = support_union(sub.restrict(m))
     reps: list[tuple[int, tuple[Fraction, ...]]] = []
     labels = []
     for x in range(m.num_points):
@@ -200,7 +200,7 @@ def fraction_is_complete(c: Partition, m: FiniteModel, sub: SubmodelRef) -> Chec
     vector failing that raises ``CertificateError`` instead.
     """
     sub.validate(m)
-    su = support_union(m, sub)
+    su = support_union(sub.restrict(m))
     live = _support_blocks(c, su)
     blocks = c.blocks()
     rows = [
@@ -342,13 +342,13 @@ signed_vectors = st.integers(min_value=1, max_value=5).flatmap(
 class TestIsComplete:
     def test_registry_section_is_complete(self):
         e = fc.load("CE55")
-        rep = is_complete(e.partitions["C1"], e.model, SubmodelRef.of(2, 3))
+        rep = is_complete(e.partitions["C1"], SubmodelRef.of(2, 3).restrict(e.model))
         assert rep.passed
 
     def test_grid_discrete_partition_fails_with_coordinate_difference(self):
         e = fc.load("CE52")
         m = e.model
-        rep = is_complete(Partition.discrete(4), m, SubmodelRef.full(m))
+        rep = is_complete(Partition.discrete(4), m)
         assert rep.failed
         w = rep.witness["function"]
         assert w.values == (0, -1, 1, 0)
@@ -356,7 +356,7 @@ class TestIsComplete:
 
     def test_single_distribution_trivial_partition(self):
         m = coin_family("1/3")
-        assert is_complete(Partition.trivial(2), m, SubmodelRef.full(m)).passed
+        assert is_complete(Partition.trivial(2), m).passed
 
     def test_agrees_with_exhaustive_oracle(self):
         rng = random.Random(101)
@@ -365,7 +365,7 @@ class TestIsComplete:
             m = random_small_model(rng)
             c = random_partition(rng, m.num_points)
             sub = SubmodelRef.full(m)
-            rep = is_complete(c, m, sub)
+            rep = is_complete(c, m)
             if rep.passed != oracle_is_complete(c, m, sub):
                 mismatches += 1
             if rep.failed:
@@ -376,7 +376,7 @@ class TestIsComplete:
 
     def test_bounded_alias_carries_note(self):
         m = coin_family("1/3")
-        rep = is_boundedly_complete(Partition.trivial(2), m, SubmodelRef.full(m))
+        rep = is_boundedly_complete(Partition.trivial(2), m)
         assert rep.passed
         assert any("bounded" in n for n in rep.notes)
 
@@ -386,17 +386,17 @@ class TestIsComplete:
         for _ in range(500):
             m, sub, c = random_case(rng)
             complete, sufficient = fraction_is_complete(c, m, sub), fraction_is_sufficient(c, m, sub)
-            assert is_complete(c, m, sub) == complete
-            assert is_sufficient(c, m, sub) == sufficient
+            assert is_complete(c, sub.restrict(m)) == complete
+            assert is_sufficient(c, sub.restrict(m)) == sufficient
             both = combine_reports("complete-sufficient", complete, sufficient)
-            assert is_complete_sufficient(c, m, sub) == both
+            assert is_complete_sufficient(c, sub.restrict(m)) == both
 
     def test_partition_of_the_wrong_length_is_a_value_error(self):
         m = coin_family("1/3", "1/2")
         for check in (is_complete, is_sufficient, is_complete_sufficient, is_ancillary):
             for c in (Partition((0,)), Partition.discrete(3)):
                 with pytest.raises(ValueError, match="partition has"):
-                    check(c, m, SubmodelRef.full(m))
+                    check(c, m)
 
 
 class TestIsSufficient:
@@ -405,17 +405,17 @@ class TestIsSufficient:
         for _ in range(20):
             m = random_small_model(rng)
             assert is_sufficient(
-                Partition.discrete(m.num_points), m, SubmodelRef.full(m)
+                Partition.discrete(m.num_points), m
             ).passed
 
     def test_sum_statistic_for_coin_powers(self):
         m = bernoulli_pair_grid(("0",), ("1/5", "1/4", "1/3"), swap=False)
         sum_p = Partition((0, 1, 1, 2))
-        assert is_sufficient(sum_p, m, SubmodelRef.full(m)).passed
+        assert is_sufficient(sum_p, m).passed
 
     def test_registry_join_insufficient(self):
         e = fc.load("CE55")
-        rep = is_sufficient(e.partitions["C1"], e.model, SubmodelRef.full(e.model))
+        rep = is_sufficient(e.partitions["C1"], e.model)
         assert rep.failed
         assert rep.witness["point"] == "1"
         assert rep.witness["params"] == (("1", "1"), ("2", "2"))
@@ -426,11 +426,10 @@ class TestIsSufficient:
             m = random_small_model(rng)
             n = m.num_points
             c = random_partition(rng, n)
-            sub = SubmodelRef.full(m)
-            if not is_sufficient(c, m, sub).passed:
+            if not is_sufficient(c, m).passed:
                 continue
             finer = join(c, random_partition(rng, n))
-            assert is_sufficient(finer, m, sub).passed
+            assert is_sufficient(finer, m).passed
 
     @given(models_with_submodels(), st.data())
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -439,24 +438,24 @@ class TestIsSufficient:
         n = m.num_points
         labels = data.draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))
         c = Partition(tuple(labels))
-        got, want = is_sufficient(c, m, sub), oracle_is_sufficient(c, m, sub)
+        got, want = is_sufficient(c, sub.restrict(m)), oracle_is_sufficient(c, m, sub)
         assert (got.verdict, got.witness) == (want.verdict, want.witness)
 
 
 class TestMinimalSufficiency:
     def test_single_parameter_collapses_support(self):
         m = coin_family("1/3")
-        part = minimal_sufficient_partition(m, SubmodelRef.full(m))
+        part = minimal_sufficient_partition(m)
         assert part == Partition.trivial(2)
 
     def test_registry_section_blocks(self):
         e = fc.load("CE55")
-        part = minimal_sufficient_partition(e.model, SubmodelRef.of(2, 3))
+        part = minimal_sufficient_partition(SubmodelRef.of(2, 3).restrict(e.model))
         assert part.block_id == (0, 0, 1)
 
     def test_bernoulli_grid_partition_by_sum(self):
         m = bernoulli_pair_grid(("0",), ("1/5", "1/4", "1/3"), swap=False)
-        part = minimal_sufficient_partition(m, SubmodelRef.full(m))
+        part = minimal_sufficient_partition(m)
         assert part == Partition((0, 1, 1, 2))
 
     def test_off_support_points_form_one_block(self):
@@ -468,19 +467,18 @@ class TestMinimalSufficiency:
                 (Fraction(1, 4), Fraction(3, 4), 0, 0),
             ),
         )
-        part = minimal_sufficient_partition(m, SubmodelRef.full(m))
+        part = minimal_sufficient_partition(m)
         assert part.block_id == (0, 1, 2, 2)
 
     def test_output_is_sufficient_and_coarsest(self):
         rng = random.Random(7)
         for _ in range(60):
             m = random_small_model(rng)
-            sub = SubmodelRef.full(m)
-            msp = minimal_sufficient_partition(m, sub)
-            assert is_sufficient(msp, m, sub).passed
-            su = support_union(m, sub)
+            msp = minimal_sufficient_partition(m)
+            assert is_sufficient(msp, m).passed
+            su = support_union(m)
             for c in all_partitions(m.num_points):
-                if not is_sufficient(c, m, sub).passed:
+                if not is_sufficient(c, m).passed:
                     continue
                 # on the support union, msp is coarser than or equal to c
                 for x in su:
@@ -490,27 +488,26 @@ class TestMinimalSufficiency:
 
     def test_is_minimal_sufficient_verdicts(self):
         e = fc.load("CE55")
-        m = e.model
-        sec = SubmodelRef.of(2, 3)
-        msp = minimal_sufficient_partition(m, sec)
-        assert is_minimal_sufficient(msp, m, sec).passed
-        finer = is_minimal_sufficient(Partition.discrete(3), m, sec)
+        sec = SubmodelRef.of(2, 3).restrict(e.model)
+        msp = minimal_sufficient_partition(sec)
+        assert is_minimal_sufficient(msp, sec).passed
+        finer = is_minimal_sufficient(Partition.discrete(3), sec)
         assert finer.failed
         assert "sufficient but not minimal" in finer.notes
         # the full model's minimal sufficient partition is discrete
-        assert is_minimal_sufficient(Partition.discrete(3), m, SubmodelRef.full(m)).passed
+        assert is_minimal_sufficient(Partition.discrete(3), e.model).passed
 
     @given(models_with_submodels())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_ray_keys_match_representative_scan(self, case):
         m, sub = case
-        assert minimal_sufficient_partition(m, sub) == oracle_minimal_sufficient_partition(m, sub)
+        assert minimal_sufficient_partition(sub.restrict(m)) == oracle_minimal_sufficient_partition(m, sub)
 
     def test_huge_weights_match_representative_scan(self):
         rng = random.Random(71)
         for _ in range(300):
             m, sub = random_huge_case(rng)
-            assert minimal_sufficient_partition(m, sub) == oracle_minimal_sufficient_partition(m, sub)
+            assert minimal_sufficient_partition(sub.restrict(m)) == oracle_minimal_sufficient_partition(m, sub)
 
     @given(signed_vectors, st.data())
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -533,11 +530,11 @@ class TestMinimalSufficiency:
 class TestAncillaryIndependentHomogeneous:
     def test_trivial_partition_is_ancillary(self):
         m = coin_family("1/3", "1/2")
-        assert is_ancillary(Partition.trivial(2), m, SubmodelRef.full(m)).passed
+        assert is_ancillary(Partition.trivial(2), m).passed
 
     def test_coordinate_partition_not_ancillary_for_coin_grid(self):
         m = bernoulli_pair_grid(("0",), ("1/5", "1/4"), swap=False)
-        rep = is_ancillary(Partition((0, 0, 1, 1)), m, SubmodelRef.full(m))
+        rep = is_ancillary(Partition((0, 0, 1, 1)), m)
         assert rep.failed
 
     def test_first_coordinate_ancillary_when_law_fixed(self):
@@ -546,25 +543,25 @@ class TestAncillaryIndependentHomogeneous:
         b = coin_family("1/5", "1/4", "1/3")
         m = product_model(a, b)
         c1, _ = fc.coordinate_partitions(a, b)
-        assert is_ancillary(c1, m, SubmodelRef.full(m)).passed
+        assert is_ancillary(c1, m).passed
 
     def test_product_coordinates_independent(self):
         a = coin_family("1/3", "1/2")
         b = coin_family("1/5", "1/4")
         m = product_model(a, b)
         c1, c2 = fc.coordinate_partitions(a, b)
-        assert are_independent(c1, c2, m, SubmodelRef.full(m)).passed
+        assert are_independent(c1, c2, m).passed
 
     def test_trivial_partition_independent_of_anything(self):
         m = bernoulli_pair_grid(("0", "1"), ("1/5",))
         c1 = Partition((0, 0, 1, 1))
-        assert are_independent(c1, Partition.trivial(4), m, SubmodelRef.full(m)).passed
+        assert are_independent(c1, Partition.trivial(4), m).passed
 
     def test_coordinate_and_sum_dependent_exactly(self):
         m = power_model(coin("1/3"), 2)
         c1 = Partition((0, 0, 1, 1))
         sum_p = Partition((0, 1, 1, 2))
-        rep = are_independent(c1, sum_p, m, SubmodelRef.full(m))
+        rep = are_independent(c1, sum_p, m)
         assert rep.failed
         assert rep.witness["joint"] != rep.witness["product"]
 
@@ -573,27 +570,27 @@ class TestAncillaryIndependentHomogeneous:
         for _ in range(1500):
             m, sub, c1 = random_case(rng)
             c2 = random_partition(rng, m.num_points)
-            assert is_ancillary(c1, m, sub) == fraction_is_ancillary(c1, m, sub)
-            assert are_independent(c1, c2, m, sub) == fraction_are_independent(c1, c2, m, sub)
+            assert is_ancillary(c1, sub.restrict(m)) == fraction_is_ancillary(c1, m, sub)
+            assert are_independent(c1, c2, sub.restrict(m)) == fraction_are_independent(c1, c2, m, sub)
 
     @pytest.mark.parametrize("position", [0, 1])
     def test_partition_of_the_wrong_length_is_rejected(self, position):
         m = FiniteModel(("a", "b", "c"), ("t",), ((Fraction(1, 3),) * 3,))
-        sub, right = SubmodelRef.full(m), Partition((0, 0, 0))
+        right = Partition((0, 0, 0))
         for wrong in (Partition((0, 0)), Partition((0, 1)), Partition((0, 0, 0, 1))):
             pair = (wrong, right) if position == 0 else (right, wrong)
             with pytest.raises(ValueError, match="partition has"):
-                are_independent(*pair, m, sub)
+                are_independent(*pair, m)
             with pytest.raises(ValueError, match="partition has"):
-                basu_consistency(*pair, m, sub)
+                basu_consistency(*pair, m)
 
     def test_homogeneous_verdicts(self):
-        assert is_homogeneous(coin_family("1/3", "1/2"), SubmodelRef.of(0, 1)).passed
+        assert is_homogeneous(SubmodelRef.of(0, 1).restrict(coin_family("1/3", "1/2"))).passed
         e = fc.load("CE55")
-        rep = is_homogeneous(e.model, SubmodelRef.full(e.model))
+        rep = is_homogeneous(e.model)
         assert rep.failed
         r = fc.load("CE53").components["R"]
-        assert is_homogeneous(r, fc.parse_submodel(r, "theta2=0")).failed
+        assert is_homogeneous(fc.parse_submodel(r, "theta2=0").restrict(r)).failed
 
 
 class TestBasu:
@@ -602,13 +599,13 @@ class TestBasu:
         b = coin("1/4")
         m = product_model(a, b)
         c1, c2 = fc.coordinate_partitions(a, b)
-        rep = basu_consistency(c1, c2, m, SubmodelRef.full(m))
+        rep = basu_consistency(c1, c2, m)
         assert rep.passed
 
     def test_vacuous_when_hypotheses_fail(self):
         e = fc.load("CE55")
         m = e.model
-        rep = basu_consistency(e.partitions["C1"], Partition.trivial(3), m, SubmodelRef.full(m))
+        rep = basu_consistency(e.partitions["C1"], Partition.trivial(3), m)
         assert rep.verdict == "vacuous"
 
     def test_generated_complete_sufficient_instances(self):
@@ -616,12 +613,11 @@ class TestBasu:
         checked = 0
         for _ in range(80):
             m = random_small_model(rng, max_points=4, max_params=4)
-            sub = SubmodelRef.full(m)
-            rep = fc.exists_complete_sufficient(m, sub)
+            rep = fc.exists_complete_sufficient(m)
             if not rep.passed:
                 continue
             c_cs = rep.witness["partition"]
-            rep2 = basu_consistency(c_cs, Partition.trivial(m.num_points), m, sub)
+            rep2 = basu_consistency(c_cs, Partition.trivial(m.num_points), m)
             assert rep2.passed
             checked += 1
         assert checked > 10
@@ -634,11 +630,10 @@ class TestStructuralProperties:
             m = random_small_model(rng)
             n = m.num_points
             d = random_partition(rng, n)
-            sub = SubmodelRef.full(m)
-            if not is_complete(d, m, sub).passed:
+            if not is_complete(d, m).passed:
                 continue
             coarser = meet(d, random_partition(rng, n))
-            assert is_complete(coarser, m, sub).passed
+            assert is_complete(coarser, m).passed
 
     def test_relabeling_invariance(self):
         rng = random.Random(10)
@@ -646,7 +641,6 @@ class TestStructuralProperties:
             m = random_small_model(rng)
             n, k = m.num_points, m.num_params
             c = random_partition(rng, n)
-            sub = SubmodelRef.full(m)
             point_perm = list(range(n))
             param_perm = list(range(k))
             rng.shuffle(point_perm)
@@ -661,7 +655,5 @@ class TestStructuralProperties:
             )
             c_perm = Partition(tuple(c.block_id[point_perm[i]] for i in range(n)))
             for fn in (is_complete, is_sufficient, is_ancillary):
-                assert fn(c, m, sub).verdict == fn(c_perm, permuted, sub).verdict
-            assert (
-                is_homogeneous(m, sub).verdict == is_homogeneous(permuted, sub).verdict
-            )
+                assert fn(c, m).verdict == fn(c_perm, permuted).verdict
+            assert is_homogeneous(m).verdict == is_homogeneous(permuted).verdict

@@ -250,7 +250,7 @@ def test_corrupted_witness_is_never_a_fail_verdict(capsys, tmp_path, monkeypatch
     )
     doc = load_model_file(out_path)
     with pytest.raises(CertificateError):
-        fc.is_complete(fc.Partition.discrete(doc.model.num_points), doc.model, fc.SubmodelRef.full(doc.model))
+        fc.is_complete(fc.Partition.discrete(doc.model.num_points), doc.model)
     code, out, err = invoke(capsys, *argv)
     assert code not in (0, 1)
     assert out == ""

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fincomplete as fc
+from fincomplete import checks, optimal, verify
 from fincomplete import (
     FiniteModel,
     Partition,
@@ -138,16 +140,16 @@ def _random_validation_case(rng: random.Random, kind: str) -> FiniteModel:
 class TestSupportUnion:
     def test_point_mass_pair(self):
         m = fc.load("CE55").model
-        su = support_union(m, SubmodelRef.of(1, 2))
+        su = support_union(SubmodelRef.of(1, 2).restrict(m))
         assert {m.points[x] for x in su} == {"3"}
 
     def test_full_support(self):
         m = coin_family("1/3", "1/2")
-        assert support_union(m, SubmodelRef.full(m)) == frozenset({0, 1})
+        assert support_union(m) == frozenset({0, 1})
 
     def test_single_param_mass_on_middle_point(self):
         m = FiniteModel(("a", "b", "c"), ("t",), ((0, 1, 0),))
-        assert support_union(m, SubmodelRef.full(m)) == frozenset({1})
+        assert support_union(m) == frozenset({1})
 
 
 class TestPartitions:
@@ -552,6 +554,31 @@ class TestSubmodelSelectors:
             fc.parse_submodel(m, "params=0,99")
         with pytest.raises(InputError):
             fc.parse_submodel(m, "nonsense")
+
+    def test_restrict_keeps_labels_and_rows_of_the_selected_parameters(self):
+        m = fc.load("CE55").model
+        sub = fc.parse_submodel(m, "theta2=1")
+        assert sub.restrict(m) == FiniteModel(m.points, (m.params[0], m.params[2]), (m.prob[0], m.prob[2]))
+        assert SubmodelRef.full(m).restrict(m) == m
+        with pytest.raises(ValueError, match="out of range"):
+            SubmodelRef.of(0, m.num_params).restrict(m)
+
+
+def test_no_procedure_takes_a_submodel():
+    """Selectors are resolved into restricted models at the edges (CLI,
+    exhaustion pieces, sections, registry rows); a procedure takes one
+    model and never a ``SubmodelRef``."""
+    functions = [support_union] + [
+        f for module in (checks, optimal, verify) for _, f in inspect.getmembers(module, inspect.isfunction)
+    ]
+    assert len(functions) > 50
+    offenders = [
+        f"{f.__module__}.{f.__qualname__}({name})"
+        for f in functions
+        for name, param in inspect.signature(f).parameters.items()
+        if "SubmodelRef" in str(param.annotation)
+    ]
+    assert offenders == []
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=8))

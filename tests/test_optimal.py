@@ -32,13 +32,14 @@ from fincomplete import (
 )
 from fincomplete.cli import run
 from fincomplete.errors import CertificateError, ExhaustionError, NotSufficientError
-from fincomplete.optimal import UmvueResult, _expectation_rows
+from fincomplete.optimal import UmvueResult
 from fincomplete.serialization import model_to_dict, save_model_file
 from fincomplete.verify import Exhaustion
 
 from conftest import bernoulli_pair_grid, coin, coin_family, oracle_event_mass
 
 from test_checks import random_case, random_huge_case, random_small_model
+from test_linalg import oracle_kernel_basis
 
 
 def bernoulli_grid():
@@ -52,7 +53,7 @@ def oracle_optimal_sigma(m, sub):
     n = m.num_points
     wrows = [
         linalg.clear_denominators([v * p for v, p in zip(h.values, m.prob[i])])
-        for h in zero_unbiased_basis(m, sub)
+        for h in zero_unbiased_basis(sub.restrict(m))
         for i in sub.param_indices
     ]
     if not wrows:
@@ -94,12 +95,13 @@ def oracle_optimal_sigma(m, sub):
 def oracle_dense_w_sigma(m, sub):
     """The optimal partition from the kernel of the dense matrix W, the rows
     (h(x) P(x))_x over a zero-unbiased basis h and the members P (the
-    engine's former route, kept verbatim as the reference for the row
-    space route)."""
-    hs = [linalg.clear_denominators(h.values) for h in zero_unbiased_basis(m, sub)]
-    ps = [linalg.clear_denominators(m.prob[i]) for i in sub.param_indices]
+    engine's former route, kept as the reference for the row space route).
+    Both kernels are the Fraction Gauss-Jordan oracle's, so this reference
+    shares no elimination routine with the engine."""
+    ps = [m.prob[i] for i in sub.param_indices]
+    hs = oracle_kernel_basis(ps, m.num_points)
     rows = [tuple(a * b for a, b in zip(h, p)) for h in hs for p in ps]
-    basis = linalg.kernel_basis(rows, m.num_points)
+    basis = oracle_kernel_basis(rows, m.num_points)
     part = Partition(tuple(zip(*basis)))
     blocks = part.blocks()
     if len(blocks) != len(basis) or any(sum(row[x] for x in b) for row in rows for b in blocks):
@@ -123,34 +125,56 @@ def model_with_null_points(rng, n, k, zero_share):
 class TestZeroUnbiasedBasis:
     def test_single_uniform_two_points(self):
         m = coin("1/2")
-        basis = zero_unbiased_basis(m, SubmodelRef.full(m))
+        basis = zero_unbiased_basis(m)
         assert [b.values for b in basis] == [(-1, 1)]
 
     def test_full_rank_model_has_empty_basis(self):
         m = coin_family("1/3", "1/2")
-        assert zero_unbiased_basis(m, SubmodelRef.full(m)) == []
+        assert zero_unbiased_basis(m) == []
 
     def test_grid_model_contains_coordinate_difference(self):
         e = fc.load("CE52")
         m = e.model
-        basis = zero_unbiased_basis(m, SubmodelRef.full(m))
+        basis = zero_unbiased_basis(m)
         assert len(basis) == 1
         assert basis[0].values in ((0, -1, 1, 0), (0, 1, -1, 0))
+
+
+@pytest.mark.parametrize("values", [(1,), (1, 2, 3, 4)])
+def test_estimand_of_the_wrong_length_is_a_value_error(values):
+    m = bernoulli_grid()  # three members
+    for procedure in (umvue, unbiased_class):
+        with pytest.raises(ValueError, match=f"estimand has {len(values)} values, the model 3 parameters"):
+            procedure(m, Estimand.of(values))
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_function_of_the_wrong_length_is_a_value_error(size):
+    m = fc.load("CE55").model  # three points
+    g = RationalFunction(tuple(range(size)))
+    procedures = (
+        lambda: is_optimal_unbiased(g, m),
+        lambda: covariance_criterion(g, m),
+        lambda: rao_blackwell(g, Partition.discrete(3), m),
+        lambda: fc.verify_bondesson(m, Exhaustion.single(m), g),
+    )
+    for procedure in procedures:
+        with pytest.raises(ValueError, match=f"function has {size} points, the model 3"):
+            procedure()
 
 
 class TestUnbiasedClass:
     def test_zero_estimand(self):
         m = coin("1/2")
-        out = unbiased_class(m, SubmodelRef.full(m), Estimand.of([0]))
+        out = unbiased_class(m, Estimand.of([0]))
         assert out.particular is not None
         assert all(v == 0 for v in out.particular.values)
         assert len(out.zero_basis) == 1
 
     def test_bernoulli_grid_mean(self):
         m = bernoulli_grid()
-        sub = SubmodelRef.full(m)
         kappa = Estimand.of([Fraction(t) for t in ("1/5", "1/4", "1/3")])
-        out = unbiased_class(m, sub, kappa)
+        out = unbiased_class(m, kappa)
         assert out.particular is not None
         for i, t in enumerate(("1/5", "1/4", "1/3")):
             assert m.expectation(i, out.particular.values) == Fraction(t)
@@ -165,23 +189,23 @@ class TestUnbiasedClass:
             ("t0", "t1"),
             ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))),
         )
-        out = unbiased_class(m, SubmodelRef.full(m), Estimand.of([0, 1]))
+        out = unbiased_class(m, Estimand.of([0, 1]))
         assert out.particular is None
 
 
 class TestOptimalSigmaAlgebra:
     def test_single_full_support_distribution_trivial(self):
         m = coin_family("1/3")
-        assert optimal_sigma_algebra(m, SubmodelRef.full(m)) == Partition.trivial(2)
+        assert optimal_sigma_algebra(m) == Partition.trivial(2)
 
     def test_registry_section_equals_complete_sufficient_partition(self):
         e = fc.load("CE55")
-        part = optimal_sigma_algebra(e.model, SubmodelRef.of(2, 3))
+        part = optimal_sigma_algebra(SubmodelRef.of(2, 3).restrict(e.model))
         assert part.block_id == (0, 0, 1)
 
     def test_empty_zero_space_gives_discrete(self):
         m = coin_family("1/3", "1/2")
-        assert optimal_sigma_algebra(m, SubmodelRef.full(m)) == Partition.discrete(2)
+        assert optimal_sigma_algebra(m) == Partition.discrete(2)
 
     def test_kernel_route_matches_enumeration_oracle(self):
         rng = random.Random(41)
@@ -189,7 +213,7 @@ class TestOptimalSigmaAlgebra:
             m = model_with_null_points(rng, rng.randint(1, 12), rng.randint(1, 5), (0.3, 0.5)[case % 2])
             k = m.num_params
             sub = SubmodelRef(tuple(sorted(rng.sample(range(k), rng.randint(1, k)))))
-            assert optimal_sigma_algebra(m, sub) == oracle_optimal_sigma(m, sub)
+            assert optimal_sigma_algebra(sub.restrict(m)) == oracle_optimal_sigma(m, sub)
 
     def test_row_space_route_matches_dense_w_oracle(self):
         rng = random.Random(43)
@@ -200,10 +224,10 @@ class TestOptimalSigmaAlgebra:
                 m = FiniteModel(m.points, m.params + ("copy",), m.prob + (rng.choice(m.prob),))
             k = m.num_params
             sub = SubmodelRef(tuple(sorted(rng.sample(range(k), rng.randint(1, k)))))
-            assert optimal_sigma_algebra(m, sub) == oracle_dense_w_sigma(m, sub)
+            assert optimal_sigma_algebra(sub.restrict(m)) == oracle_dense_w_sigma(m, sub)
         for _ in range(150):
             m, sub = random_huge_case(rng)
-            assert optimal_sigma_algebra(m, sub) == oracle_dense_w_sigma(m, sub)
+            assert optimal_sigma_algebra(sub.restrict(m)) == oracle_dense_w_sigma(m, sub)
 
     def test_every_registry_submodel_matches_dense_w_oracle(self):
         for ce in ("CE52", "CE53", "CE54", "CE55"):
@@ -212,14 +236,14 @@ class TestOptimalSigmaAlgebra:
                 for k in range(1, m.num_params + 1):
                     for idx in itertools.combinations(range(m.num_params), k):
                         sub = SubmodelRef(idx)
-                        assert optimal_sigma_algebra(m, sub) == oracle_dense_w_sigma(m, sub)
+                        assert optimal_sigma_algebra(sub.restrict(m)) == oracle_dense_w_sigma(m, sub)
 
     def test_coin_powers_match_dense_w_oracle(self):
         base = coin_family("1/3", "1/2", "2/3")
         for n in range(1, 7):
             m = power_model(base, n)
             sub = SubmodelRef.full(m)
-            assert optimal_sigma_algebra(m, sub) == oracle_dense_w_sigma(m, sub)
+            assert optimal_sigma_algebra(m) == oracle_dense_w_sigma(m, sub)
 
     def test_nine_bias_coin_power_gives_the_sum_partition(self):
         # the sum of 8 tosses is binomial: a function h of it with zero mean
@@ -228,13 +252,13 @@ class TestOptimalSigmaAlgebra:
         # complete sufficient; the optimal partition is then its partition
         m = power_model(coin_family(*(Fraction(i, 10) for i in range(1, 10))), 8)
         by_sum = Partition(tuple(sum(t) for t in itertools.product((0, 1), repeat=8)))
-        assert optimal_sigma_algebra(m, SubmodelRef.full(m)) == by_sum
+        assert optimal_sigma_algebra(m) == by_sum
 
     def test_iid_power_past_the_former_guard(self, capsys, tmp_path):
         # 32 points; six distinct biases make the sum complete for five tosses
         m = power_model(coin_family("1/7", "1/5", "1/3", "1/2", "2/3", "4/5"), 5)
         by_sum = Partition(tuple(sum(t) for t in itertools.product((0, 1), repeat=5)))
-        assert optimal_sigma_algebra(m, SubmodelRef.full(m)) == by_sum
+        assert optimal_sigma_algebra(m) == by_sum
         path = tmp_path / "p5.model"
         save_model_file(str(path), model_to_dict(m))
         assert run(["--json", "optimal-sigma", "--model", str(path)]) == 0
@@ -246,29 +270,27 @@ class TestOptimalSigmaAlgebra:
             ("t",),
             ((Fraction(1, 2), Fraction(1, 2), 0),),
         )
-        part = optimal_sigma_algebra(m, SubmodelRef.full(m))
+        part = optimal_sigma_algebra(m)
         assert part.block_id == (0, 0, 1)
 
     def test_completeness_of_optimal_partition(self):
         rng = random.Random(21)
         for _ in range(60):
             m = random_small_model(rng, max_points=5, max_params=4)
-            sub = SubmodelRef.full(m)
-            part = optimal_sigma_algebra(m, sub)
-            assert is_complete(part, m, sub).passed
+            part = optimal_sigma_algebra(m)
+            assert is_complete(part, m).passed
 
     def test_optimal_below_every_sufficient_partition(self):
         rng = random.Random(22)
         for _ in range(60):
             m = random_small_model(rng, max_points=5, max_params=4)
-            sub = SubmodelRef.full(m)
-            part = optimal_sigma_algebra(m, sub)
-            su = support_union(m, sub)
+            part = optimal_sigma_algebra(m)
+            su = support_union(m)
             for c in (
-                minimal_sufficient_partition(m, sub),
+                minimal_sufficient_partition(m),
                 Partition.discrete(m.num_points),
             ):
-                assert is_sufficient(c, m, sub).passed
+                assert is_sufficient(c, m).passed
                 # on the support union, same c-block implies same O-block
                 for x in su:
                     for y in su:
@@ -306,11 +328,11 @@ def test_corrupted_kernel_is_never_a_partition(capsys, monkeypatch, tmp_path, co
             (Fraction(1, 2), Fraction(1, 4), 0, Fraction(1, 4)),
         ),
     )
-    assert optimal_sigma_algebra(m, SubmodelRef.full(m)).block_id == (0, 0, 0, 1)
+    assert optimal_sigma_algebra(m).block_id == (0, 0, 0, 1)
     genuine = linalg.kernel_basis
     monkeypatch.setattr(linalg, "kernel_basis", lambda rows, width: corrupt(genuine(rows, width), rows, width))
     with pytest.raises(CertificateError):
-        optimal_sigma_algebra(m, SubmodelRef.full(m))
+        optimal_sigma_algebra(m)
     path = tmp_path / "mix.model"
     save_model_file(str(path), model_to_dict(m))
     assert run(["--json", "optimal-sigma", "--model", str(path)]) == 3
@@ -332,13 +354,13 @@ def test_wrong_atoms_of_the_right_count_fail_the_membership_check(monkeypatch):
             (Fraction(1, 7), Fraction(1, 7), Fraction(4, 7), Fraction(1, 7)),
         ),
     )
-    assert optimal_sigma_algebra(m, SubmodelRef.full(m)).block_id == (0, 1, 0, 0)
+    assert optimal_sigma_algebra(m).block_id == (0, 1, 0, 0)
     genuine = linalg.kernel_basis
     monkeypatch.setattr(
         linalg, "kernel_basis", lambda rows, width: [(v[1], v[0]) + v[2:] for v in genuine(rows, width)]
     )
     with pytest.raises(CertificateError):
-        optimal_sigma_algebra(m, SubmodelRef.full(m))
+        optimal_sigma_algebra(m)
 
 
 def _pivot_at_first_free_column(red, pivots, d):
@@ -376,7 +398,7 @@ def test_a_reduction_of_too_high_rank_fails_the_rank_check(monkeypatch):
     for m in models:
         calls.clear()
         with pytest.raises(CertificateError):
-            optimal_sigma_algebra(m, SubmodelRef.full(m))
+            optimal_sigma_algebra(m)
 
 
 def test_a_minor_divisible_by_the_first_prime_is_not_rejected(capsys, tmp_path):
@@ -386,7 +408,7 @@ def test_a_minor_divisible_by_the_first_prime_is_not_rejected(capsys, tmp_path):
     m = FiniteModel(
         ("a", "b"), ("s", "t"), ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, p + 2), Fraction(p + 1, p + 2)))
     )
-    assert optimal_sigma_algebra(m, SubmodelRef.full(m)) == Partition.discrete(2)
+    assert optimal_sigma_algebra(m) == Partition.discrete(2)
     path = tmp_path / "prime-minor.model"
     save_model_file(str(path), model_to_dict(m))
     assert run(["--json", "optimal-sigma", "--model", str(path)]) == 0
@@ -398,7 +420,7 @@ def test_a_minor_divisible_by_the_first_prime_is_not_rejected(capsys, tmp_path):
 def test_primes_that_lower_a_rank_lead_to_the_next_prime(monkeypatch):
     rng = random.Random(29)
     cases = [random_case(rng)[:2] for _ in range(300)]
-    expected = [optimal_sigma_algebra(m, sub) for m, sub in cases]
+    expected = [optimal_sigma_algebra(sub.restrict(m)) for m, sub in cases]
     genuine_primes, genuine_rank = optimal._certificate_primes, optimal._rank_mod
     used: dict[int, int] = {}
 
@@ -408,7 +430,7 @@ def test_primes_that_lower_a_rank_lead_to_the_next_prime(monkeypatch):
 
     monkeypatch.setattr(optimal, "_certificate_primes", lambda: itertools.chain((3, 5), genuine_primes()))
     monkeypatch.setattr(optimal, "_rank_mod", counting_rank)
-    assert [optimal_sigma_algebra(m, sub) for m, sub in cases] == expected
+    assert [optimal_sigma_algebra(sub.restrict(m)) for m, sub in cases] == expected
     assert used[3] > used[5] > used[2**61 - 1] > 0
 
 
@@ -427,30 +449,28 @@ class TestOptimalityChecks:
     def test_constants_are_optimal(self):
         m = bernoulli_grid()
         g = RationalFunction.constant(5, 4)
-        assert is_optimal_unbiased(g, m, SubmodelRef.full(m)).passed
+        assert is_optimal_unbiased(g, m).passed
 
     def test_coordinate_difference_not_optimal_in_grid(self):
         e = fc.load("CE52")
         m = e.model
-        rep = is_optimal_unbiased(e.functions["x1-x2"], m, SubmodelRef.full(m))
+        rep = is_optimal_unbiased(e.functions["x1-x2"], m)
         assert rep.failed
 
     def test_block_average_is_optimal(self):
         m = bernoulli_grid()
-        sub = SubmodelRef.full(m)
-        part = optimal_sigma_algebra(m, sub)
+        part = optimal_sigma_algebra(m)
         g = RationalFunction(("3", "-2", "7", "1"))
         averaged = conditional_expectation(g, part, m, 0)
-        assert is_optimal_unbiased(averaged, m, sub).passed
+        assert is_optimal_unbiased(averaged, m).passed
 
     def test_covariance_criterion_directions(self):
         m = bernoulli_grid()
-        sub = SubmodelRef.full(m)
-        part = optimal_sigma_algebra(m, sub)
+        part = optimal_sigma_algebra(m)
         g = conditional_expectation(RationalFunction(("1", "0", "2", "5")), part, m, 0)
-        assert covariance_criterion(g, m, sub).passed
-        basis = zero_unbiased_basis(m, sub)
-        assert basis and covariance_criterion(basis[0], m, sub).failed
+        assert covariance_criterion(g, m).passed
+        basis = zero_unbiased_basis(m)
+        assert basis and covariance_criterion(basis[0], m).failed
 
     def test_agreement_harness(self):
         # proven direction asserted; the converse only counted
@@ -458,10 +478,9 @@ class TestOptimalityChecks:
         agree = disagree = 0
         for _ in range(60):
             m = random_small_model(rng, max_points=4, max_params=3)
-            sub = SubmodelRef.full(m)
             g = RationalFunction(tuple(Fraction(rng.randint(-3, 3)) for _ in range(m.num_points)))
-            opt = is_optimal_unbiased(g, m, sub).passed
-            cov = covariance_criterion(g, m, sub).passed
+            opt = is_optimal_unbiased(g, m).passed
+            cov = covariance_criterion(g, m).passed
             if opt:
                 assert cov
             if opt == cov:
@@ -474,25 +493,25 @@ class TestOptimalityChecks:
 class TestUmvue:
     def test_constant_estimand(self):
         m = bernoulli_grid()
-        out = umvue(m, SubmodelRef.full(m), Estimand.of([7, 7, 7]))
+        out = umvue(m, Estimand.of([7, 7, 7]))
         assert out.estimator is not None
         assert set(out.estimator.values) == {Fraction(7)}
 
     def test_bernoulli_grid_mean_is_half_sum(self):
         m = bernoulli_grid()
         kappa = Estimand.of([Fraction(t) for t in ("1/5", "1/4", "1/3")])
-        out = umvue(m, SubmodelRef.full(m), kappa)
+        out = umvue(m, kappa)
         assert out.estimator is not None
         assert out.estimator.values == (0, Fraction(1, 2), Fraction(1, 2), 1)
 
     def test_grid_zero_estimand_gives_zero(self):
         e = fc.load("CE52")
         m = e.model
-        out = umvue(m, SubmodelRef.full(m), Estimand.of([0] * 6))
+        out = umvue(m, Estimand.of([0] * 6))
         assert out.estimator is not None
         assert set(out.estimator.values) == {Fraction(0)}
         # while the coordinate difference is unbiased for 0, it is not optimal
-        assert is_optimal_unbiased(e.functions["x1-x2"], m, SubmodelRef.full(m)).failed
+        assert is_optimal_unbiased(e.functions["x1-x2"], m).failed
 
     def test_inestimable_vs_no_measurable_solution(self):
         m = FiniteModel(
@@ -500,7 +519,7 @@ class TestUmvue:
             ("t0", "t1"),
             ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))),
         )
-        out = umvue(m, SubmodelRef.full(m), Estimand.of([0, 1]))
+        out = umvue(m, Estimand.of([0, 1]))
         assert out.estimator is None
         assert "not unbiasedly estimable" in out.note
 
@@ -509,8 +528,8 @@ def oracle_umvue(m, sub, estimand):
     """The engine's former umvue, whose block-mass rows were Fraction sums
     of event_mass on the live blocks, kept verbatim as the reference."""
     sub.validate(m)
-    part = optimal_sigma_algebra(m, sub)
-    su = support_union(m, sub)
+    part = optimal_sigma_algebra(sub.restrict(m))
+    su = support_union(sub.restrict(m))
     blocks = part.blocks()
     live = [b for b in range(len(blocks)) if any(x in su for x in blocks[b])]
     rows = [
@@ -519,7 +538,7 @@ def oracle_umvue(m, sub, estimand):
     rhs = [estimand.values[i] for i in sub.param_indices]
     sol = linalg.solve(rows, rhs)
     if sol is None:
-        estimable = linalg.solve(_expectation_rows(m, sub), rhs) is not None
+        estimable = linalg.solve([m.prob[i] for i in sub.param_indices], rhs) is not None
         note = (
             "estimable, but no estimator measurable for the optimal partition"
             if estimable
@@ -551,29 +570,29 @@ def test_umvue_on_integer_block_masses_matches_fraction_rows():
             estimand = Estimand(tuple(m.expectation(i, g) for i in range(m.num_params)))
         else:
             estimand = Estimand(tuple(_small_fraction(rng) for _ in range(m.num_params)))
-        assert umvue(m, sub, estimand) == oracle_umvue(m, sub, estimand)
+        selected = Estimand(tuple(estimand.values[i] for i in sub.param_indices))
+        assert umvue(sub.restrict(m), selected) == oracle_umvue(m, sub, estimand)
 
 
 class TestExistsCompleteSufficient:
     def test_bernoulli_grid_power(self):
         m = bernoulli_grid()
-        sub = SubmodelRef.full(m)
-        rep = exists_complete_sufficient(m, sub)
+        rep = exists_complete_sufficient(m)
         assert rep.passed
         part = rep.witness["partition"]
-        assert is_complete(part, m, sub).passed
-        assert is_sufficient(part, m, sub).passed
+        assert is_complete(part, m).passed
+        assert is_sufficient(part, m).passed
         assert part == Partition((0, 1, 1, 2))
 
     def test_registry_full_model_decided_outright(self):
         e = fc.load("CE55")
-        rep = exists_complete_sufficient(e.model, SubmodelRef.full(e.model))
+        rep = exists_complete_sufficient(e.model)
         assert rep.passed
         assert rep.witness["partition"] == Partition.discrete(3)
 
     def test_single_distribution(self):
         m = coin_family("1/3")
-        rep = exists_complete_sufficient(m, SubmodelRef.full(m))
+        rep = exists_complete_sufficient(m)
         assert rep.passed
         assert rep.witness["partition"] == Partition.trivial(2)
 
@@ -582,7 +601,7 @@ class TestExistsCompleteSufficient:
         # partition is complete sufficient even though the join of the
         # coordinate partitions is not complete
         e = fc.load("CE52")
-        rep = exists_complete_sufficient(e.model, SubmodelRef.full(e.model))
+        rep = exists_complete_sufficient(e.model)
         assert rep.passed
         assert rep.witness["partition"] == Partition((0, 1, 1, 2))
 
@@ -595,44 +614,41 @@ class TestExistsCompleteSufficient:
                 (0, Fraction(1, 2), Fraction(1, 2)),
             ),
         )
-        sub = SubmodelRef.full(m)
-        assert optimal_sigma_algebra(m, sub) == Partition.trivial(3)
-        rep = exists_complete_sufficient(m, sub)
+        assert optimal_sigma_algebra(m) == Partition.trivial(3)
+        rep = exists_complete_sufficient(m)
         assert rep.failed
 
 
 class TestRaoBlackwell:
     def test_fixed_point_of_projection(self):
         m = bernoulli_grid()
-        sub = SubmodelRef.full(m)
         sum_p = Partition((0, 1, 1, 2))
         g = RationalFunction(("4", "9", "9", "-1"))
-        assert rao_blackwell(g, sum_p, m, sub) == g
+        assert rao_blackwell(g, sum_p, m) == g
 
     def test_coordinate_estimator_averages_to_half_sum(self):
         m = bernoulli_grid()
-        sub = SubmodelRef.full(m)
         g = RationalFunction(("0", "0", "1", "1"))  # first coordinate
-        out = rao_blackwell(g, Partition((0, 1, 1, 2)), m, sub)
+        out = rao_blackwell(g, Partition((0, 1, 1, 2)), m)
         assert out.values == (0, Fraction(1, 2), Fraction(1, 2), 1)
 
     def test_insufficient_partition_is_an_error(self):
         e = fc.load("CE55")
         g = RationalFunction(("1", "2", "3"))
         with pytest.raises(NotSufficientError):
-            rao_blackwell(g, e.partitions["C1"], e.model, SubmodelRef.full(e.model))
+            rao_blackwell(g, e.partitions["C1"], e.model)
 
     def test_mean_preservation_and_idempotence(self):
         rng = random.Random(31)
         for _ in range(40):
             m = random_small_model(rng, max_points=4, max_params=3)
             sub = SubmodelRef.full(m)
-            c = minimal_sufficient_partition(m, sub)
+            c = minimal_sufficient_partition(m)
             g = RationalFunction(tuple(Fraction(rng.randint(-3, 3)) for _ in range(m.num_points)))
-            rb = rao_blackwell(g, c, m, sub)
+            rb = rao_blackwell(g, c, m)
             for i in sub.param_indices:
                 assert m.expectation(i, rb.values) == m.expectation(i, g.values)
-            assert rao_blackwell(rb, c, m, sub) == rb
+            assert rao_blackwell(rb, c, m) == rb
 
 
 def fraction_rao_blackwell(
@@ -641,7 +657,7 @@ def fraction_rao_blackwell(
     """The engine's former rao_blackwell, which summed block masses as
     Fractions, kept verbatim (event_mass is now oracle_event_mass) as the
     reference for the integer block masses."""
-    suff = is_sufficient(c, m, sub)
+    suff = is_sufficient(c, sub.restrict(m))
     if not suff.passed:
         raise NotSufficientError(f"partition is not sufficient: witness {suff.witness}")
     values = [Fraction(0)] * m.num_points
@@ -669,16 +685,16 @@ def test_rao_blackwell_on_integer_block_masses_matches_fraction_sums():
     for _ in range(1000):
         m, sub, c = random_case(rng)
         if rng.random() < 0.5:
-            c = minimal_sufficient_partition(m, sub)
+            c = minimal_sufficient_partition(sub.restrict(m))
         g = RationalFunction(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m.num_points)))
         try:
             expected = fraction_rao_blackwell(g, c, m, sub)
         except NotSufficientError as e:
             with pytest.raises(NotSufficientError) as got:
-                rao_blackwell(g, c, m, sub)
+                rao_blackwell(g, c, sub.restrict(m))
             assert str(got.value) == str(e)
         else:
-            assert rao_blackwell(g, c, m, sub) == expected
+            assert rao_blackwell(g, c, sub.restrict(m)) == expected
 
 
 class TestMeetOfOptimalSigmas:
@@ -687,7 +703,7 @@ class TestMeetOfOptimalSigmas:
         exh = Exhaustion.single(m)
         met, rep = meet_of_optimal_sigmas(m, exh)
         assert rep.passed
-        assert met == optimal_sigma_algebra(m, SubmodelRef.full(m))
+        assert met == optimal_sigma_algebra(m)
 
     def test_registry_section_exhaustion(self):
         e = fc.load("CE55")
@@ -744,5 +760,5 @@ class TestPiecewiseOptimality:
         assert rep.passed
         g = RationalFunction(tuple(Fraction(b) for b in met.block_id))
         for _, piece in exh.pieces:
-            assert is_optimal_unbiased(g, m, piece).passed
-        assert is_optimal_unbiased(g, m, SubmodelRef.full(m)).passed
+            assert is_optimal_unbiased(g, piece.restrict(m)).passed
+        assert is_optimal_unbiased(g, m).passed

@@ -564,6 +564,20 @@ def test_unknown_row_operation_rejected():
         execute_row(e, row)
 
 
+@pytest.mark.parametrize(
+    "op",
+    ["support_union", "check", "minimal_partition", "optimal_partition", "exists_complete_sufficient",
+     "incompleteness_witness"],
+)
+def test_submodel_row_without_a_selector_is_rejected(op):
+    # these operations run on a submodel; a row must name it, never
+    # silently fall back to the whole model
+    e = fc.load("CE55")
+    row = ExpectedRow("no-sub", op, {"property": "complete", "partition": "C1", "function": "identity"}, {})
+    with pytest.raises(KeyError, match="sub"):
+        execute_row(e, row)
+
+
 def test_every_row_is_cli_expressible():
     # every row carries flat, string-or-json arguments, the shape the CLI
     # accepts (the CLI tests replay the key rows through the real CLI)

@@ -44,7 +44,7 @@ class TestRandomModel:
     def test_homogeneous_flag_gives_equal_supports(self):
         for s in range(20):
             m = random_model(GenConfig(seed=s, homogeneous=True))
-            assert fc.is_homogeneous(m, SubmodelRef.full(m)).passed
+            assert fc.is_homogeneous(m).passed
 
     def test_size_bounds(self):
         for s in range(20):
@@ -215,18 +215,18 @@ def oracle_verify_joint_completeness(m, family) -> TheoremReport:
             hyps.append(
                 (
                     f"C{i + 1} complete[{exh.label}={eta}]",
-                    is_complete(part, m, piece),
+                    is_complete(part, piece.restrict(m)),
                 )
             )
             hyps.append(
                 (
                     f"C{i + 1} sufficient[{exh.label}={eta}]",
-                    is_sufficient(part, m, piece),
+                    is_sufficient(part, piece.restrict(m)),
                 )
             )
     if joined is None:
         raise ExhaustionError("family must contain at least one partition")
-    conclusion = is_complete(joined, m, SubmodelRef.full(m))
+    conclusion = is_complete(joined, m)
     return TheoremReport("joint-completeness", tuple(hyps), conclusion)
 
 
@@ -235,13 +235,13 @@ def oracle_verify_two_block_grid(m: FiniteModel, c1: Partition, c2: Partition) -
     hyps: list[tuple[str, CheckReport]] = []
     for v in axis2:
         sec = SubmodelRef.section(m, 1, v)
-        hyps.append((f"c1-complete[axis2={v}]", is_complete(c1, m, sec)))
-        hyps.append((f"c1-sufficient[axis2={v}]", is_sufficient(c1, m, sec)))
+        hyps.append((f"c1-complete[axis2={v}]", is_complete(c1, sec.restrict(m))))
+        hyps.append((f"c1-sufficient[axis2={v}]", is_sufficient(c1, sec.restrict(m))))
     for v in axis1:
         sec = SubmodelRef.section(m, 0, v)
-        hyps.append((f"c2-complete[axis1={v}]", is_complete(c2, m, sec)))
-        hyps.append((f"c2-sufficient[axis1={v}]", is_sufficient(c2, m, sec)))
-    conclusion = is_complete(join(c1, c2), m, SubmodelRef.full(m))
+        hyps.append((f"c2-complete[axis1={v}]", is_complete(c2, sec.restrict(m))))
+        hyps.append((f"c2-sufficient[axis1={v}]", is_sufficient(c2, sec.restrict(m))))
+    conclusion = is_complete(join(c1, c2), m)
     return TheoremReport("two-block-grid", tuple(hyps), conclusion)
 
 
@@ -251,7 +251,7 @@ def oracle_verify_cks(q: FiniteModel, r: FiniteModel) -> TheoremReport:
     hyps: list[tuple[str, CheckReport]] = [
         (
             "first-family-complete",
-            is_complete(Partition.discrete(q.num_points), q, SubmodelRef.full(q)),
+            is_complete(Partition.discrete(q.num_points), q),
         )
     ]
     for v in axis1:
@@ -259,17 +259,17 @@ def oracle_verify_cks(q: FiniteModel, r: FiniteModel) -> TheoremReport:
         hyps.append(
             (
                 f"second-family-complete[axis1={v}]",
-                is_complete(Partition.discrete(r.num_points), r, sec),
+                is_complete(Partition.discrete(r.num_points), sec.restrict(r)),
             )
         )
     for v in axis2:
         sec = SubmodelRef.section(r, 1, v)
-        hyps.append((f"second-family-homogeneous[axis2={v}]", is_homogeneous(r, sec)))
+        hyps.append((f"second-family-homogeneous[axis2={v}]", is_homogeneous(sec.restrict(r))))
     hyps.append(
         ("integrability", CheckReport("integrability", VERDICT_PASS, None, (INTEGRABILITY_NOTE,)))
     )
     conclusion = is_complete(
-        Partition.discrete(product.num_points), product, SubmodelRef.full(product)
+        Partition.discrete(product.num_points), product
     )
     return TheoremReport("cks", tuple(hyps), conclusion)
 
@@ -368,7 +368,7 @@ def _two_block_quick_reject(cand: _TwoBlockCandidate, dropped: str | None) -> bo
             if v not in values:
                 values.append(v)
         for v in values:
-            if not fn(part, m, SubmodelRef.section(m, coord, v)).passed:
+            if not fn(part, SubmodelRef.section(m, coord, v).restrict(m)).passed:
                 return True
     return False
 
@@ -376,18 +376,18 @@ def _two_block_quick_reject(cand: _TwoBlockCandidate, dropped: str | None) -> bo
 def _cks_quick_reject(cand: _CksCandidate, dropped: str | None) -> bool:
     if dropped != "q-completeness":
         if not is_complete(
-            Partition.discrete(cand.q.num_points), cand.q, SubmodelRef.full(cand.q)
+            Partition.discrete(cand.q.num_points), cand.q
         ).passed:
             return True
     if dropped != "r-completeness":
         for v in ("0", "1"):
             sec = SubmodelRef.section(cand.r, 0, v)
-            if not is_complete(Partition.discrete(cand.r.num_points), cand.r, sec).passed:
+            if not is_complete(Partition.discrete(cand.r.num_points), sec.restrict(cand.r)).passed:
                 return True
     if dropped != "homogeneity":
         for v in ("0", "1"):
             sec = SubmodelRef.section(cand.r, 1, v)
-            if not is_homogeneous(cand.r, sec).passed:
+            if not is_homogeneous(sec.restrict(cand.r)).passed:
                 return True
     return False
 

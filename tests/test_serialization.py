@@ -103,7 +103,7 @@ class TestReports:
     def test_check_report_dict_and_text(self):
         m = fc.load("CE55").model
         rep = fc.is_sufficient(
-            fc.load("CE55").partitions["C1"], m, SubmodelRef.full(m)
+            fc.load("CE55").partitions["C1"], m
         )
         d = check_report_to_dict(rep)
         assert d["property"] == "sufficient" and d["verdict"] == "fail"

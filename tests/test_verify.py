@@ -145,7 +145,7 @@ class TestTwoBlockGrid:
         assert report.conclusion_result.property == "complete"
         # and separately, the join is not sufficient
         assert is_sufficient(
-            e.partitions["C1"], e.model, SubmodelRef.full(e.model)
+            e.partitions["C1"], e.model
         ).failed
 
     def test_swap_grid_reports_gap(self):
@@ -277,7 +277,7 @@ def test_marginal_support_on_integer_masses_matches_fraction_report():
     rng = random.Random(62)
     for _ in range(1500):
         m, sub, c = random_case(rng)
-        assert _marginal_support_report(c, m, sub) == fraction_marginal_support_report(m, c, sub)
+        assert _marginal_support_report(c, sub.restrict(m)) == fraction_marginal_support_report(m, c, sub)
 
 
 class TestHomogeneousConnected:
@@ -306,7 +306,7 @@ class TestHomogeneousConnected:
         exh1, exh2 = self.grid_family(m)
         sum_p = Partition((0, 1, 1, 2))
         for _, piece in exh1.pieces + exh2.pieces:
-            assert fc.minimal_sufficient_partition(m, piece) == sum_p
+            assert fc.minimal_sufficient_partition(piece.restrict(m)) == sum_p
         report = verify_homogeneous_connected(
             m, [(sum_p, exh1), (sum_p, exh2)], "minimal"
         )
@@ -346,7 +346,7 @@ class TestTruncationFamily:
         assert report.status == STATUS_VERIFIED
         model, sig = fc.truncated_family(m0, fc.upray_events(4), 2)
         assert sig == fc.min_partition(m0, 2)
-        assert is_complete(sig, model, SubmodelRef.full(model)).passed
+        assert is_complete(sig, model).passed
 
     def test_unstable_events_reported(self):
         m0 = uniform_chain(3)
@@ -494,12 +494,11 @@ def _random_grid_model(rng):
 def _random_partition(rng, m, extra):
     """A structured partition of the model's points (trivial, discrete,
     minimal sufficient, optimal, or one of ``extra``) or random labels."""
-    full = SubmodelRef.full(m)
     choices = [
         Partition.trivial(m.num_points),
         Partition.discrete(m.num_points),
-        fc.minimal_sufficient_partition(m, full),
-        fc.optimal_sigma_algebra(m, full),
+        fc.minimal_sufficient_partition(m),
+        fc.optimal_sigma_algebra(m),
         Partition(tuple(rng.randrange(3) for _ in range(m.num_points))),
         *extra,
     ]
@@ -537,7 +536,7 @@ def _verifier_inputs(rng):
     g = RationalFunction(tuple(Fraction(rng.randint(-2, 2)) for _ in range(m.num_points)))
     if rng.random() < 0.5:
         # constant on the optimal atoms, so often optimal in every piece
-        part = fc.optimal_sigma_algebra(m, SubmodelRef.full(m))
+        part = fc.optimal_sigma_algebra(m)
         g = RationalFunction(tuple(g.values[part.blocks()[b][0]] for b in part.block_id))
     yield "bondesson", (m, family[0][1], g), {}
     na = len({flatten_label(lab)[0] for lab in m.params})
@@ -555,7 +554,7 @@ def _verifier_inputs(rng):
             fc.min_partition(m0, n),
             fc.max_partition(m0, n),
             fc.min_max_partition(m0, n),
-            fc.optimal_sigma_algebra(powered, SubmodelRef.full(powered)),
+            fc.optimal_sigma_algebra(powered),
             Partition(tuple(rng.randrange(3) for _ in range(powered.num_points))),
         )
     )
@@ -605,23 +604,23 @@ def oracle_verify_cks_rewrite(m: FiniteModel, c1: Partition, c2: Partition) -> T
     hyps: list[tuple[str, CheckReport]] = []
     for v in axis2:
         sec = SubmodelRef.section(m, 1, v)
-        hyps.append((f"c1-complete[axis2={v}]", is_complete(c1, m, sec)))
+        hyps.append((f"c1-complete[axis2={v}]", is_complete(c1, sec.restrict(m))))
     for v in axis1:
         sec = SubmodelRef.section(m, 0, v)
-        hyps.append((f"c1-ancillary[axis1={v}]", is_ancillary(c1, m, sec)))
+        hyps.append((f"c1-ancillary[axis1={v}]", is_ancillary(c1, sec.restrict(m))))
         hyps.append(
             (
                 f"c2-complete-sufficient[axis1={v}]",
-                is_complete_sufficient(c2, m, sec),
+                is_complete_sufficient(c2, sec.restrict(m)),
             )
         )
     for v in axis2:
         sec = SubmodelRef.section(m, 1, v)
         hyps.append(
-            (f"c2-marginal-homogeneous[axis2={v}]", _marginal_support_report(c2, m, sec))
+            (f"c2-marginal-homogeneous[axis2={v}]", _marginal_support_report(c2, sec.restrict(m)))
         )
     hyps.append(("integrability", INTEGRABILITY))
-    conclusion = is_complete(join(c1, c2), m, SubmodelRef.full(m))
+    conclusion = is_complete(join(c1, c2), m)
     return TheoremReport("cks-rewrite", tuple(hyps), conclusion)
 
 
@@ -639,7 +638,7 @@ def oracle_verify_homogeneous_connected(
         raise ValueError("weak form applies to mode='sufficient' with two partitions")
     check = checks[mode]
     hyps: list[tuple[str, CheckReport]] = [
-        ("homogeneous", is_homogeneous(m, SubmodelRef.full(m))),
+        ("homogeneous", is_homogeneous(m)),
         ("connected", _connectedness_report(m, family)),
     ]
     joined: Partition | None = None
@@ -647,7 +646,7 @@ def oracle_verify_homogeneous_connected(
         exh.validate(m)
         joined = part if joined is None else join(joined, part)
         if weak and i == 1:
-            results = [(eta, check(part, m, piece)) for eta, piece in exh.pieces]
+            results = [(eta, check(part, piece.restrict(m))) for eta, piece in exh.pieces]
             passing = [eta for eta, r in results if r.passed]
             verdict = VERDICT_PASS if passing else VERDICT_FAIL
             notes = tuple(f"piece {eta}: {r.verdict}" for eta, r in results)
@@ -659,10 +658,10 @@ def oracle_verify_homogeneous_connected(
             )
             continue
         for eta, piece in exh.pieces:
-            hyps.append((f"C{i + 1} {mode}[{exh.label}={eta}]", check(part, m, piece)))
+            hyps.append((f"C{i + 1} {mode}[{exh.label}={eta}]", check(part, piece.restrict(m))))
     if joined is None:
         raise ExhaustionError("family must contain at least one partition")
-    conclusion = check(joined, m, SubmodelRef.full(m))
+    conclusion = check(joined, m)
     return TheoremReport(f"homogeneous-connected[{mode}]", tuple(hyps), conclusion)
 
 
@@ -671,11 +670,11 @@ def oracle_verify_truncation_family(m0: FiniteModel, events, n: int) -> TheoremR
         ("events-intersection-stable", _stability_report(m0, events)),
         (
             "base-single-distribution",
-            is_complete_sufficient(Partition.trivial(m0.num_points), m0, SubmodelRef.full(m0)),
+            is_complete_sufficient(Partition.trivial(m0.num_points), m0),
         ),
     ]
     model, sig = truncated_family(m0, events, n, require_stable=False)
-    conclusion = is_complete_sufficient(sig, model, SubmodelRef.full(model))
+    conclusion = is_complete_sufficient(sig, model)
     return TheoremReport("truncation-family", tuple(hyps), conclusion)
 
 
@@ -685,10 +684,10 @@ def oracle_verify_unknown_truncation(
     powered = power_model(m0, n)
     hyps = [
         ("events-intersection-stable", _stability_report(m0, events)),
-        ("base-complete-sufficient", is_complete_sufficient(c, powered, SubmodelRef.full(powered))),
+        ("base-complete-sufficient", is_complete_sufficient(c, powered)),
     ]
     model, sig = truncated_family(m0, events, n, require_stable=False)
-    conclusion = is_complete_sufficient(join(c, sig), model, SubmodelRef.full(model))
+    conclusion = is_complete_sufficient(join(c, sig), model)
     by_event, by_param = truncation_exhaustions(m0, model)
     route = verify_joint_completeness(model, [(c, by_event), (sig, by_param)])
     conclusion = conclusion.with_notes(
@@ -702,16 +701,14 @@ def oracle_verify_smith(
 ) -> TheoremReport:
     if mode not in ("a", "b"):
         raise ValueError(f"unknown mode {mode!r}")
-    full = SubmodelRef.full(m)
-    hyps: list[tuple[str, CheckReport]] = [("sufficient-for-base", is_sufficient(c, m, full))]
+    hyps: list[tuple[str, CheckReport]] = [("sufficient-for-base", is_sufficient(c, m))]
     if mode == "b":
-        hyps.append(("complete-for-base", is_complete(c, m, full)))
+        hyps.append(("complete-for-base", is_complete(c, m)))
     weighted = weighted_model(m, q)
-    wfull = SubmodelRef.full(weighted)
     if mode == "a":
-        conclusion = is_sufficient(c, weighted, wfull)
+        conclusion = is_sufficient(c, weighted)
     else:
-        conclusion = is_complete_sufficient(c, weighted, wfull)
+        conclusion = is_complete_sufficient(c, weighted)
     return TheoremReport(f"smith-weighting[{mode}]", tuple(hyps), conclusion)
 
 
@@ -720,10 +717,10 @@ def oracle_verify_bondesson(
 ) -> TheoremReport:
     exhaustion.validate(m)
     hyps = [
-        (f"optimal[{exhaustion.label}={eta}]", is_optimal_unbiased(g, m, piece))
+        (f"optimal[{exhaustion.label}={eta}]", is_optimal_unbiased(g, piece.restrict(m)))
         for eta, piece in exhaustion.pieces
     ]
-    conclusion = is_optimal_unbiased(g, m, SubmodelRef.full(m))
+    conclusion = is_optimal_unbiased(g, m)
     return TheoremReport("bondesson", tuple(hyps), conclusion)
 
 
